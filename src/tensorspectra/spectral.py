@@ -28,9 +28,12 @@ class Hosvd:
     """Orthogonal Tucker decomposition with an all-orthogonal core.
 
     ``core`` has the shape of the input; ``factors[d]`` is the n_d-by-n_d
-    orthogonal matrix of left singular vectors of the mode-(d+1) unfolding.
-    Each mode-d unfolding of the core has mutually orthogonal rows whose
-    norms are the mode-d singular values.
+    orthogonal matrix of left singular vectors of the mode-(d+1) unfolding,
+    sign-fixed as in :func:`~tensorspectra.linalg.svd`. For an unfolding
+    wider than tall they are computed from its square R factor (see
+    :func:`hosvd`), which has the same left singular vectors. Each mode-d
+    unfolding of the core has mutually orthogonal rows whose norms are the
+    mode-d singular values.
     """
 
     core: np.ndarray
@@ -61,15 +64,38 @@ class SchattenParams:
         return cls(p=1.0, q=1.0, lam=1.0 / ndim)
 
 
+def _left_svd_operand(unf: np.ndarray) -> np.ndarray:
+    """A matrix with the left singular vectors and values of ``unf``.
+
+    A wide unfolding X (m < n columns) factors as X = R^T Q^T with
+    R = qr(X^T, mode="r") square and Q orthonormal, so the m-by-m R^T has the
+    same left singular pairs as X while its SVD never forms X's n-by-n V^T.
+    Square and tall unfoldings are returned unchanged.
+    """
+    m, n = unf.shape
+    if n <= m:
+        return unf
+    return np.linalg.qr(unf.T, mode="r").T
+
+
 def hosvd(x) -> Hosvd:
     """Higher-order SVD of a dense tensor.
 
     Factors are the (sign-fixed) left singular matrices of each unfolding;
     the core is the input contracted with every factor transposed, so
     ``multi_mode_mul(core, factors)`` reconstructs the input.
+
+    Only left singular vectors are needed (De Lathauwer, De Moor and
+    Vandewalle, 2000). When an unfolding X_(d) is wider than tall, its
+    n_d-by-n_d R factor from a QR of X_(d)^T is decomposed instead of X_(d)
+    (the R-SVD of Chan, 1982): the same factor, up to rounding, at the cost
+    of the QR rather than of a full SVD whose (prod_{k != d} n_k)^2 V^T is
+    discarded.
     """
     x = np.asarray(x, dtype=float)
-    factors = tuple(svd(matricize(x, d)).u for d in range(1, x.ndim + 1))
+    factors = tuple(
+        svd(_left_svd_operand(matricize(x, d))).u for d in range(1, x.ndim + 1)
+    )
     core = multi_mode_mul(x, [u.T for u in factors])
     return Hosvd(core=core, factors=factors)
 

@@ -137,14 +137,13 @@ def suite_hosvd(seed: int) -> SuiteResult:
             bool(np.max(report) <= 1e-10 * norm_x**2),
             f"core off-diagonal mass {np.max(report):.3e} on {dims}",
         )
-        diag_ok = True
-        for d in range(1, ndim + 1):
-            unf = matricize(h.core, d)
-            gram_diag = np.diag(unf @ unf.T)
-            expected = mode_spectrum(x, d) ** 2
-            if np.max(np.abs(gram_diag - expected)) > 1e-10 * max(1.0, norm_x**2):
-                diag_ok = False
-        result.check(diag_ok, f"core row norms disagree with spectra on {dims}")
+        unfoldings = [matricize(h.core, d) for d in range(1, ndim + 1)]
+        row_norms_ok = all(
+            np.max(np.abs(np.diag(unf @ unf.T) - mode_spectrum(x, d) ** 2))
+            <= 1e-10 * max(1.0, norm_x**2)
+            for d, unf in enumerate(unfoldings, start=1)
+        )
+        result.check(row_norms_ok, f"core row norms disagree with spectra on {dims}")
     return result
 
 

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorspectra import (
     SchattenParams,
@@ -15,6 +18,7 @@ from tensorspectra import (
     matricize,
     mode_spectrum,
     nuclear_norm,
+    svd,
     outer,
     random_odeco,
     schatten_norm,
@@ -33,6 +37,15 @@ def diag_tensor(shape, values):
 DIAG21 = diag_tensor((2, 2, 2), [2.0, 1.0])
 
 
+def sign_anchored(u):
+    """The first entry above 1e-12 in magnitude of each column is >= 0."""
+    for col in u.T:
+        anchors = np.nonzero(np.abs(col) > 1e-12)[0]
+        if anchors.size and col[anchors[0]] < 0:
+            return False
+    return True
+
+
 class TestHosvd:
     def test_diagonal(self):
         h = hosvd(DIAG21)
@@ -44,6 +57,59 @@ class TestHosvd:
         h = hosvd(np.zeros((2, 3, 2)))
         assert np.array_equal(h.core, np.zeros((2, 3, 2)))
         assert all(is_orthogonal(u, 1e-12) for u in h.factors)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (3, 3, 3, 3), (2, 3, 4, 5)])
+    def test_wide_unfoldings_match_full_svd(self, shape):
+        # the R-factor reduction keeps the factor and its sign convention
+        x = np.random.default_rng(12).standard_normal(shape)
+        for d, u in enumerate(hosvd(x).factors, start=1):
+            full = svd(matricize(x, d)).u
+            assert np.max(np.abs(u - full)) <= 1e-12
+
+    @pytest.mark.parametrize("shape, modes", [((10, 2, 2), (1,)), ((4, 4), (1, 2))])
+    def test_square_and_tall_unfoldings_unchanged(self, shape, modes):
+        x = np.random.default_rng(13).standard_normal(shape)
+        h = hosvd(x)
+        for d in modes:
+            assert np.array_equal(h.factors[d - 1], svd(matricize(x, d)).u)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            outer([np.arange(1.0, 4.0), -np.arange(1.0, 5.0), np.ones(5)]),
+            np.zeros((2, 3, 2)),
+        ],
+        ids=["outer", "zeros"],
+    )
+    def test_rank_deficient_wide(self, x):
+        h = hosvd(x)
+        assert all(is_orthogonal(u, 1e-12) for u in h.factors)
+        assert all(sign_anchored(u) for u in h.factors)
+        assert frobenius(hosvd_reconstruct(h) - x) <= 1e-12 * max(1.0, frobenius(x))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [(0, 0, 0), (2, 1, 1), (4, 3, 2)])
+    def test_non_finite_rejected(self, value, index):
+        x = np.ones((5, 4, 3))
+        x[index] = value
+        with pytest.raises(ValueError, match="matrix: entries must be finite"):
+            hosvd(x)
+
+    def test_allocation_bounded_by_input(self):
+        # a few copies of the input, and no 1600 x 1600 V^T per mode
+        x = np.random.default_rng(14).standard_normal((40, 40, 40))
+        already = tracemalloc.is_tracing()
+        if not already:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            hosvd(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not already:
+                tracemalloc.stop()
+        assert peak <= 6 * x.nbytes
 
     def test_random_invariants(self):
         rng = np.random.default_rng(0)
@@ -199,3 +265,19 @@ class TestCoreReport:
     def test_zero(self):
         report = core_orthogonality_report(hosvd(np.zeros((2, 2, 2))))
         assert np.array_equal(report, np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    exponent=st.integers(-150, 150),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_hosvd_properties(shape, exponent, seed):
+    x = 10.0**exponent * np.random.default_rng(seed).standard_normal(shape)
+    h = hosvd(x)
+    norm_x = frobenius(x)
+    assert frobenius(hosvd_reconstruct(h) - x) <= 1e-10 * max(1.0, norm_x)
+    assert all(is_orthogonal(u, 1e-12) for u in h.factors)
+    assert all(sign_anchored(u) for u in h.factors)
+    assert np.max(core_orthogonality_report(h)) <= 1e-10 * norm_x**2
