@@ -68,6 +68,7 @@ from .tensor import (
 )
 from .vonneumann import (
     BlockPartition,
+    EqualityStructure,
     VnReport,
     check_equality_via_structure,
     find_block_partition,
@@ -119,6 +120,7 @@ __all__ = [
     # trace-inequality diagnostics
     "VnReport",
     "BlockPartition",
+    "EqualityStructure",
     "vn_report",
     "find_block_partition",
     "verify_equality_structure",

@@ -29,13 +29,8 @@ from .subdiff import (
     mixed_norm,
     schatten_subgradient,
 )
-from .tensor import multi_mode_mul, symmetrize
-from .vonneumann import (
-    check_equality_via_structure,
-    find_block_partition,
-    verify_equality_structure,
-    vn_report,
-)
+from .tensor import symmetrize
+from .vonneumann import _equality_structure, vn_report
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -249,20 +244,16 @@ def _cmd_vn_check(args) -> int:
     if args.frames is not None:
         with open(args.frames, encoding="utf-8") as handle:
             frames = serialize.loads_matrices(handle.read())
-        structural = check_equality_via_structure(x, y, frames, tol=args.tol)
-        transposed = [w.T for w in frames]
-        cx = multi_mode_mul(x, transposed)
-        cy = multi_mode_mul(y, transposed)
-        partition = find_block_partition(cx, cy, tol=args.tol)
-        proportional, constants = verify_equality_structure(
-            cx, cy, partition, tol=args.tol
-        )
+        structure = _equality_structure(x, y, frames, tol=args.tol)
         payload["structure"] = {
-            "verified": structural,
-            "blocks": [[list(ids) for ids in block] for block in partition.blocks],
-            "proportional": proportional,
+            "verified": structure.verified,
+            "blocks": [
+                [list(ids) for ids in block] for block in structure.partition.blocks
+            ],
+            # the same verdict as "verified", kept for existing readers
+            "proportional": structure.verified,
             "constants": [
-                c if np.isfinite(c) else None for c in constants.tolist()
+                c if np.isfinite(c) else None for c in structure.constants.tolist()
             ],
         }
     _emit(payload)

@@ -49,9 +49,9 @@ class SvdResult:
         return self.u @ sigma @ self.vt
 
 
-def _as_matrix(mat) -> np.ndarray:
+def _as_matrix(mat, stacked: bool = False) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise ValueError("matrix: expected a 2-D operand")
     if not np.isfinite(m).all():
         raise ValueError("matrix: entries must be finite")
@@ -82,8 +82,11 @@ def svd(mat) -> SvdResult:
 
 
 def singular_values(mat) -> np.ndarray:
-    """Singular values only, sorted descending."""
-    m = _as_matrix(mat)
+    """Singular values only, sorted descending.
+
+    Accepts one matrix or a stack ``(..., m, n)``, returning ``(..., min(m, n))``.
+    """
+    m = _as_matrix(mat, stacked=True)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

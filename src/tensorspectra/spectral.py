@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import singular_values, svd
-from .tensor import matricize, multi_mode_mul
+from .tensor import _unfold, matricize, multi_mode_mul
 
 __all__ = [
     "Hosvd",
@@ -119,10 +120,59 @@ def mode_spectrum(x, mode: int) -> np.ndarray:
     return vals
 
 
+def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
+    """Mode spectra of a stack ``(k, n_1, ..., n_D)`` as one ``(k, D, max n)`` array.
+
+    Row d-1 of entry i holds ``mode_spectrum(stack[i], d)`` followed by
+    zeros; zero padding leaves every l_p norm unchanged. The stack is
+    unfolded one mode at a time.
+    """
+    dims = stack.shape[1:]
+    out = np.zeros((stack.shape[0], len(dims), max(dims)))
+    for d in range(1, len(dims) + 1):
+        vals = singular_values(_unfold(stack, d))
+        out[:, d - 1, : vals.shape[-1]] = vals
+    return out
+
+
+def _lp(a: np.ndarray, p: float) -> np.ndarray:
+    # l_p norm over the last axis of a nonnegative array, max-scaled:
+    # ||s||_p = m ||s/m||_p with m = max s, so no power overflows and the
+    # largest term of the sum is 1. The array is reduced in reversed axis
+    # order, where numpy runs vectorized loops instead of one per short row
+    cols = np.ascontiguousarray(a.T)
+    if cols.shape[0] == 0:
+        return np.zeros(cols.shape[1:]).T
+    m = cols.max(axis=0)
+    if math.isinf(p):
+        return m.T
+    terms = (cols / np.where(m > 0.0, m, 1.0)) ** p
+    return (m * terms.sum(axis=0) ** (1.0 / p)).T
+
+
+def _mixed_norm(a, p: float, q: float) -> np.ndarray:
+    """(Σ_d ||a[..., d, :]||_p^q)^(1/q) over the last two axes of ``a``.
+
+    p and q range over [1, inf]; an infinite exponent takes the maximum.
+    Both levels are max-scaled, so no intermediate power overflows and the
+    result is finite whenever the norm itself is representable.
+    """
+    for name, value in (("p", p), ("q", q)):
+        if not float(value) >= 1.0:
+            raise ValueError(f"{name}: exponent must be a real >= 1 or inf")
+    return _lp(_lp(np.abs(np.asarray(a, dtype=float)), float(p)), float(q))
+
+
+def _schatten_norms(spectra: np.ndarray, params: SchattenParams) -> np.ndarray:
+    # the norm of each tensor of a stack from its stacked spectra
+    return params.lam * _mixed_norm(spectra, params.p, params.q)
+
+
 def all_mode_spectra(x) -> list[np.ndarray]:
-    """Mode spectra for every mode d = 1..D."""
+    """Mode spectra for every mode d = 1..D, as views of one padded array."""
     x = np.asarray(x, dtype=float)
-    return [mode_spectrum(x, d) for d in range(1, x.ndim + 1)]
+    padded = _stacked_spectra(x[None])[0]
+    return [padded[d, :n] for d, n in enumerate(x.shape)]
 
 
 def combined_spectrum(x) -> list[np.ndarray]:
@@ -134,10 +184,8 @@ def combined_spectrum(x) -> list[np.ndarray]:
 
 def schatten_norm(x, params: SchattenParams) -> float:
     """λ (Σ_d ||σ_d(x)||_p^q)^(1/q) over the per-mode spectra of ``x``."""
-    total = sum(
-        float(np.linalg.norm(s, ord=params.p)) ** params.q for s in all_mode_spectra(x)
-    )
-    return params.lam * total ** (1.0 / params.q)
+    spectra = _stacked_spectra(np.asarray(x, dtype=float)[None])
+    return float(_schatten_norms(spectra, params)[0])
 
 
 def nuclear_norm(x) -> float:

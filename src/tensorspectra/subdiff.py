@@ -20,7 +20,14 @@ import numpy as np
 
 from .linalg import random_orthogonal
 from .odeco import OdecoRep, random_odeco, to_dense
-from .spectral import SchattenParams, all_mode_spectra, hosvd, schatten_norm
+from .spectral import (
+    SchattenParams,
+    _mixed_norm,
+    _schatten_norms,
+    _stacked_spectra,
+    hosvd,
+    schatten_norm,
+)
 from .tensor import frobenius, inner, multi_mode_mul, symmetrize
 from .vonneumann import vn_report
 
@@ -68,23 +75,21 @@ class DualExponents:
 
 
 def lp_norm(v, p: float) -> float:
-    """l_p norm for p in [1, inf]."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.max(np.abs(v)))
-    return float(np.linalg.norm(v, ord=p))
+    """l_p norm for p in [1, inf]; other p raise ValueError."""
+    return float(_mixed_norm(np.ravel(v)[None], p, 1.0))
 
 
 def mixed_norm(rows, p: float, q: float) -> float:
-    """(sum_d ||rows[d]||_p^q)^(1/q); the maximum over d when q is infinite."""
-    per = np.array([lp_norm(r, p) for r in rows])
-    if per.size == 0:
-        return 0.0
-    if math.isinf(q):
-        return float(per.max())
-    return float(np.sum(per**q) ** (1.0 / q))
+    """(sum_d ||rows[d]||_p^q)^(1/q); the maximum over d when q is infinite.
+
+    Rows may differ in length; they are zero-padded, which changes no l_p
+    norm. p and q must lie in [1, inf].
+    """
+    rows = [np.ravel(np.asarray(r, dtype=float)) for r in rows]
+    padded = np.zeros((len(rows), max((r.size for r in rows), default=0)))
+    for d, r in enumerate(rows):
+        padded[d, : r.size] = r
+    return float(_mixed_norm(padded, p, q))
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,8 @@ def _tuple_rows(t, name: str = "tuple") -> list[np.ndarray]:
 
 def schatten_value_tuple(t, params: SchattenParams) -> float:
     """The tuple norm lam * (sum_d ||s_d||_p^q)^(1/q) on raw spectra tuples."""
-    rows = _tuple_rows(t)
-    total = sum(lp_norm(r, params.p) ** params.q for r in rows)
-    return params.lam * total ** (1.0 / params.q)
+    rows = np.vstack(_tuple_rows(t))
+    return params.lam * float(_mixed_norm(rows, params.p, params.q))
 
 
 @dataclass(frozen=True)
@@ -240,9 +244,7 @@ def schatten_subgradient(rep: OdecoRep, params: SchattenParams) -> np.ndarray:
     if params.p == 1.0:
         vstar = np.where(padded > 0, vstar, 0.0)
     tau = params.lam * ndim ** (1.0 / params.q) * vstar
-    letters = [chr(ord("a") + d) for d in range(ndim)]
-    subs = ",".join(["z"] + [f"{c}z" for c in letters]) + "->" + "".join(letters)
-    return np.einsum(subs, tau[: rep.rank], *rep.factors)
+    return to_dense(OdecoRep(rep.shape, tau[: rep.rank], rep.factors))
 
 
 @dataclass(frozen=True)
@@ -281,9 +283,9 @@ def check_membership(
     pairing = inner(x, y)
     scale = max(1.0, frobenius(x) * frobenius(y))
     duals = DualExponents.of(params)
-    dual_value = mixed_norm(all_mode_spectra(y), duals.p_star, duals.q_star) / (
-        params.lam * x.ndim
-    )
+    dual_value = float(
+        _mixed_norm(_stacked_spectra(y[None]), duals.p_star, duals.q_star)[0]
+    ) / (params.lam * x.ndim)
     vn_ok = report.equality
     pairing_ok = abs(pairing - norm_x) <= tol * scale
     dual_ok = dual_value <= 1.0 + tol
@@ -304,49 +306,20 @@ def check_membership(
     )
 
 
-def _batched_mode_values(stack: np.ndarray) -> list[np.ndarray]:
-    # per-mode singular values for a stack of tensors (batch axis first)
-    count = stack.shape[0]
-    dims = stack.shape[1:]
-    ndim = len(dims)
-    out = []
-    for axis in range(ndim):
-        cyc = [(axis + k) % ndim for k in range(1, ndim)]
-        order = [0] + [a + 1 for a in [axis] + cyc[::-1]]
-        mats = np.transpose(stack, order).reshape(count, dims[axis], -1)
-        out.append(np.linalg.svd(mats, compute_uv=False))
-    return out
-
-
-def _norms_from_values(values: list[np.ndarray], params: SchattenParams) -> np.ndarray:
-    total = 0.0
-    for v in values:
-        per = np.sum(v**params.p, axis=1) ** (1.0 / params.p)
-        total = total + per**params.q
-    return params.lam * total ** (1.0 / params.q)
-
-
-def _row_lp(mat: np.ndarray, p: float) -> np.ndarray:
-    if math.isinf(p):
-        return np.max(np.abs(mat), axis=1)
-    return np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
-
-
 @lru_cache(maxsize=8)
 def _gaussian_pool(shape: tuple[int, ...], seed: int, count: int):
-    # deterministic probe pool plus its per-mode singular values; cached so
-    # repeated sampling calls over the same shape and seed reuse the SVDs
+    # deterministic probe pool plus its stacked spectra; cached so repeated
+    # sampling calls over the same shape and seed reuse the SVDs
     rng = np.random.default_rng([seed, len(shape), *shape, count])
     stack = rng.standard_normal((count,) + shape)
     scales = np.geomspace(0.25, 4.0, 7)
     stack *= scales[np.arange(count) % scales.size].reshape(
         (count,) + (1,) * len(shape)
     )
-    values = _batched_mode_values(stack)
+    spectra = _stacked_spectra(stack)
     stack.flags.writeable = False
-    for v in values:
-        v.flags.writeable = False
-    return stack, values
+    spectra.flags.writeable = False
+    return stack, spectra
 
 
 def subgradient_inequality_test(
@@ -380,21 +353,21 @@ def subgradient_inequality_test(
         specials.append(
             to_dense(random_odeco(dims, min(dims), int(rng.integers(2**63 - 1))))
         )
-    specials = specials[:trials]
+    stack = np.stack(specials[:trials])
 
     norm_x = schatten_norm(x, params)
     g_dot_x = inner(g, x)
-    best = min(
-        schatten_norm(y, params) - norm_x - (inner(g, y) - g_dot_x) for y in specials
-    )
 
-    n_gauss = trials - len(specials)
+    def slack(stack: np.ndarray, spectra: np.ndarray) -> float:
+        pairings = stack.reshape(stack.shape[0], -1) @ g.ravel()
+        norms = _schatten_norms(spectra, params)
+        return float(np.min(norms - norm_x - (pairings - g_dot_x)))
+
+    best = slack(stack, _stacked_spectra(stack))
+    n_gauss = trials - stack.shape[0]
     if n_gauss > 0:
-        stack, values = _gaussian_pool(dims, seed, n_gauss)
-        norms = _norms_from_values(values, params)
-        pairings = stack.reshape(n_gauss, -1) @ g.ravel()
-        best = min(best, float(np.min(norms - norm_x - (pairings - g_dot_x))))
-    return float(best)
+        best = min(best, slack(*_gaussian_pool(dims, seed, n_gauss)))
+    return best
 
 
 def conjugate_value_tuple(g, params: SchattenParams) -> float:
@@ -408,7 +381,12 @@ def conjugate_value_tuple(g, params: SchattenParams) -> float:
 
 @dataclass(frozen=True)
 class ConjugateEstimate:
-    """Best value of <x, y> - N(y) found by sampling, with its maximizer."""
+    """Best value of <x, y> - N(y) found, with its maximizer.
+
+    ``evaluations`` counts the candidates y whose objective was computed:
+    y = 0, the aligned certificate, the Gaussian probes, the polish steps
+    and the rescaled maximizer.
+    """
 
     best_value: float
     maximizer: np.ndarray
@@ -422,148 +400,68 @@ def estimate_tensor_conjugate(
     seed: int = 0,
     target: float | None = None,
 ) -> ConjugateEstimate:
-    """Empirical supremum of <x, y> - N(y) by multistart and hill climbing.
+    """Lower estimate of sup_y <x, y> - N(y): a closed form plus probes.
 
-    Candidates mix Gaussian probes with directions aligned to the input's
-    orthogonal decomposition frames, where the objective is evaluated
-    exactly through the orthogonal invariance of the norm. A coordinate
-    ascent over the aligned weights refines the best direction; a short
-    full-space coordinate ascent polishes the best probe. The supremum is 0
-    (attained at y = 0) exactly when x lies in the dual unit ball of the
-    norm; outside the ball the objective is unbounded along any positive
-    direction, so a found certificate is rescaled before returning. Stops
-    early once ``target`` is reached, when given.
+    The supremum is 0 (attained at y = 0) exactly when x lies in the dual
+    unit ball of the norm, and +inf otherwise. Closed-form aligned
+    certificate: for y = diag(beta) x_1 U_1 ... x_D U_D on the HOSVD factors
+    U_d of x, N(y) = lam D^(1/q) ||beta||_p and <x, y> = <diag, beta>, with
+    diag the diagonal of the HOSVD core of x. Over unit beta the objective's
+    supremum is ||diag||_{p*} - lam D^(1/q) (Hölder), attained at the
+    pairing-extremal beta*, which is evaluated once. Seeded Gaussian probes
+    at several scales, with exact norms, then act as an independent
+    falsifier off the aligned directions. A positive value found is
+    polished by a short full-space coordinate ascent and rescaled into a
+    comfortably positive certificate. Stops early once ``target`` is
+    reached, when given.
     """
     x = np.asarray(x, dtype=float)
     if budget < 1:
         raise ValueError("budget: need at least one evaluation")
     dims = x.shape
-    ndim = x.ndim
-    nmin = min(dims)
-    bound = params.lam * ndim ** (1.0 / params.q)
 
     best = 0.0
     best_y = np.zeros(dims)
     evals = 1  # y = 0
 
-    frame = hosvd(x)
-    diag_idx = tuple(np.arange(nmin) for _ in dims)
-    diag = frame.core[diag_idx]
-
-    def aligned_tensor(beta: np.ndarray) -> np.ndarray:
-        core = np.zeros(dims)
-        core[diag_idx] = beta
-        return multi_mode_mul(core, frame.factors)
-
-    def aligned_value(beta: np.ndarray) -> float:
-        # exact objective: the norm of an aligned tensor depends only on |beta|
-        return float(np.dot(diag, beta) - bound * lp_norm(beta, params.p))
-
-    best_beta: np.ndarray | None = None
-
-    def consider_beta(beta: np.ndarray) -> None:
-        nonlocal best, best_beta, evals
-        value = aligned_value(beta)
-        evals += 1
-        if value > best:
-            best = value
-            best_beta = beta.copy()
-
     def done() -> bool:
         return evals >= budget or (target is not None and best >= target)
 
-    # deterministic aligned starts: signed basis vectors and the two
-    # pairing-extremal directions of the core diagonal
+    frame = hosvd(x)
+    diag_idx = tuple(np.arange(min(dims)) for _ in dims)
+    diag = frame.core[diag_idx]
     if diag.any() and not done():
+        # the pairing-extremal unit-l_p direction of the core diagonal
         signs = np.where(diag >= 0, 1.0, -1.0)
-        for j in range(nmin):
-            if done():
-                break
-            beta = np.zeros(nmin)
-            beta[j] = signs[j]
-            consider_beta(beta)
-        if not done():
-            direction = signs * np.abs(diag)
-            consider_beta(direction / lp_norm(direction, params.p))
         p_star = holder_conjugate(params.p)
-        if not done():
-            if math.isinf(p_star):
-                beta = np.zeros(nmin)
-                beta[int(np.argmax(np.abs(diag)))] = 1.0
-                beta *= signs
-            else:
-                beta = signs * np.abs(diag) ** (p_star - 1.0)
-                beta /= lp_norm(beta, params.p)
-            consider_beta(beta)
-
-    rng = np.random.default_rng([seed, 7919])
-
-    def aligned_batch(count: int) -> None:
-        nonlocal best, best_beta, evals
-        betas = rng.standard_normal((count, nmin))
-        betas /= _row_lp(betas, params.p)[:, None]
-        values = betas @ diag - bound
-        evals += count
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best = float(values[k])
-            best_beta = betas[k].copy()
-
-    remaining = max(0, budget - evals)
-    n_gauss = min(remaining // 5, 20_000)
-    n_ascent = min(2_000, remaining // 10)
-    n_aligned = max(0, remaining - n_gauss - n_ascent)
-
-    if n_aligned > 0 and diag.any() and not done():
-        aligned_batch(min(n_aligned, budget - evals))
-
-    # coordinate ascent over the aligned weights
-    if diag.any() and best_beta is None:
-        best_beta = np.where(diag >= 0, 1.0, -1.0) * np.abs(diag)
-        best_beta /= lp_norm(best_beta, params.p)
-    if best_beta is not None and not done():
-        step = 0.5
-        while step > 1e-3 and n_ascent > 0 and not done():
-            improved = False
-            for j in range(nmin):
-                if done() or n_ascent <= 0:
-                    break
-                for delta in (step, -step):
-                    if done() or n_ascent <= 0:
-                        break
-                    candidate = best_beta.copy()
-                    candidate[j] += delta
-                    norm = lp_norm(candidate, params.p)
-                    if norm == 0.0:
-                        continue
-                    n_ascent -= 1
-                    before = best
-                    consider_beta(candidate / norm)
-                    if best > before:
-                        improved = True
-            if not improved:
-                step /= 2.0
+        if math.isinf(p_star):
+            beta = np.zeros(diag.size)
+            beta[int(np.argmax(np.abs(diag)))] = 1.0
+            beta *= signs
+        else:
+            # relative to max |diag|, so a large p* can neither overflow the
+            # power nor underflow every entry to 0
+            beta = signs * (np.abs(diag) / np.max(np.abs(diag))) ** (p_star - 1.0)
+            beta /= lp_norm(beta, params.p)
+        bound = params.lam * x.ndim ** (1.0 / params.q)
+        value = float(np.dot(diag, beta) - bound * lp_norm(beta, params.p))
+        evals += 1
+        if value > best:
+            best = value
+            core = np.zeros(dims)
+            core[diag_idx] = beta
+            best_y = multi_mode_mul(core, frame.factors)
 
     # Gaussian probes with exact norms
-    if not done():
-        n_gauss = min(n_gauss, max(0, budget - evals))
+    n_gauss = min((budget - evals) // 5, 20_000)
     if n_gauss > 0 and not done():
-        stack, values = _gaussian_pool(dims, seed, n_gauss)
-        norms = _norms_from_values(values, params)
-        objective = stack.reshape(n_gauss, -1) @ x.ravel() - norms
+        stack, spectra = _gaussian_pool(dims, seed, n_gauss)
+        objective = stack.reshape(n_gauss, -1) @ x.ravel() - _schatten_norms(spectra, params)
         evals += n_gauss
         k = int(np.argmax(objective))
         if objective[k] > best:
             best = float(objective[k])
-            best_beta = None
             best_y = np.asarray(stack[k], dtype=float).copy()
-
-    # spend any reserve left over by an early-converged ascent
-    if diag.any() and not done() and evals < budget:
-        aligned_batch(budget - evals)
-
-    if best_beta is not None and best > 0.0:
-        best_y = aligned_tensor(best_beta)
 
     # short full-space polish around the best candidate
     if best > 0.0 and evals < budget and (target is None or best < target):

@@ -58,9 +58,21 @@ def _mode_axis(ndim: int, mode: int) -> int:
     return mode - 1
 
 
-def _cyclic_axes(ndim: int, axis: int) -> list[int]:
-    # zero-based axes d+1, d+2, ..., D, 1, ..., d-1 following the mode axis
-    return [(axis + k) % ndim for k in range(1, ndim)]
+def _unfold_order(ndim: int, axis: int) -> list[int]:
+    # the mode axis, then the others in reverse cyclic order d-1, ..., 1, D,
+    # ..., d+1, so a C-order reshape makes axis d+1 the fastest column index
+    return [axis] + [(axis + k) % ndim for k in range(ndim - 1, 0, -1)]
+
+
+def _unfold(stack: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-``mode`` unfoldings of a stack ``(k, n_1, ..., n_D)`` of tensors.
+
+    Returns the ``(k, n_mode, prod_{d != mode} n_d)`` stack whose i-th matrix
+    is ``matricize(stack[i], mode)``.
+    """
+    axis = _mode_axis(stack.ndim - 1, mode)
+    order = [0] + [a + 1 for a in _unfold_order(stack.ndim - 1, axis)]
+    return np.transpose(stack, order).reshape(stack.shape[0], stack.shape[axis + 1], -1)
 
 
 def inner(x, y) -> float:
@@ -88,11 +100,7 @@ def matricize(x, mode: int) -> np.ndarray:
 
         j = sum_t  i_{m_t} * prod_{u < t} n_{m_u}
     """
-    x = np.asarray(x, dtype=float)
-    axis = _mode_axis(x.ndim, mode)
-    cyc = _cyclic_axes(x.ndim, axis)
-    # C-order reshape makes the last transposed axis the fastest column index
-    return np.transpose(x, [axis] + cyc[::-1]).reshape(x.shape[axis], -1)
+    return _unfold(np.asarray(x, dtype=float)[None], mode)[0]
 
 
 def tensorize(m, mode: int, shape) -> np.ndarray:
@@ -103,15 +111,14 @@ def tensorize(m, mode: int, shape) -> np.ndarray:
     if ndim < 2:
         raise ValueError("shape: a tensor needs at least 2 modes")
     axis = _mode_axis(ndim, mode)
-    cyc = _cyclic_axes(ndim, axis)
+    order = _unfold_order(ndim, axis)
     rows = dims[axis]
-    cols = int(np.prod([dims[a] for a in cyc]))
+    cols = int(np.prod([dims[a] for a in order[1:]]))
     if m.ndim != 2 or m.shape != (rows, cols):
         raise ValueError(
             f"matrix: mode {mode} of shape {list(dims)} unfolds to "
             f"{rows}x{cols}, got {'x'.join(str(s) for s in m.shape)}"
         )
-    order = [axis] + cyc[::-1]
     folded = m.reshape([dims[a] for a in order])
     return np.ascontiguousarray(np.transpose(folded, np.argsort(order)))
 

@@ -21,6 +21,7 @@ from .tensor import frobenius, inner, multi_mode_mul
 __all__ = [
     "VnReport",
     "BlockPartition",
+    "EqualityStructure",
     "vn_report",
     "find_block_partition",
     "verify_equality_structure",
@@ -51,6 +52,20 @@ class BlockPartition:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+
+@dataclass(frozen=True)
+class EqualityStructure:
+    """Equality structure of a pair in candidate shared frames.
+
+    ``partition`` is the finest common block partition of the two rotated
+    cores, ``constants`` the per-block proportionality coefficients of
+    :func:`verify_equality_structure` and ``verified`` its verdict.
+    """
+
+    verified: bool
+    partition: BlockPartition
+    constants: np.ndarray
 
 
 def vn_report(x, y, tol: float = 1e-10) -> VnReport:
@@ -208,14 +223,9 @@ def verify_equality_structure(
     return ok, constants
 
 
-def check_equality_via_structure(x, y, shared_factors, tol: float = 1e-10) -> bool:
-    """Test the equality structure of a pair against candidate shared frames.
-
-    Both tensors are rotated into the candidate frames, the finest common
-    block partition is extracted and the proportionality conditions are
-    verified. A positive answer is cross-checked against the per-mode gap
-    report; an inconsistency between the two raises.
-    """
+def _equality_structure(x, y, shared_factors, tol: float) -> EqualityStructure:
+    # one rotation, partition and proportionality pass; see
+    # check_equality_via_structure
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     frames = [np.asarray(w, dtype=float) for w in shared_factors]
@@ -231,10 +241,21 @@ def check_equality_via_structure(x, y, shared_factors, tol: float = 1e-10) -> bo
     cx = multi_mode_mul(x, transposed)
     cy = multi_mode_mul(y, transposed)
     partition = find_block_partition(cx, cy, tol)
-    ok, _ = verify_equality_structure(cx, cy, partition, tol)
+    ok, constants = verify_equality_structure(cx, cy, partition, tol)
     if ok and not vn_report(x, y, tol).equality:
         raise ArithmeticError(
             "structure verified but per-mode gaps exceed tolerance; "
             "inputs are inconsistent with the claimed frames"
         )
-    return ok
+    return EqualityStructure(verified=ok, partition=partition, constants=constants)
+
+
+def check_equality_via_structure(x, y, shared_factors, tol: float = 1e-10) -> bool:
+    """Test the equality structure of a pair against candidate shared frames.
+
+    Both tensors are rotated into the candidate frames, the finest common
+    block partition is extracted and the proportionality conditions are
+    verified. A positive answer is cross-checked against the per-mode gap
+    report; an inconsistency between the two raises.
+    """
+    return _equality_structure(x, y, shared_factors, tol).verified

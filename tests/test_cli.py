@@ -74,6 +74,36 @@ def test_vn_check_self(diag21):
     assert payload["per_mode_gap"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
 
+def test_vn_check_frames_runs_one_structure_pass(tmp_path, monkeypatch):
+    from tensorspectra import cli, hosvd, vonneumann
+    from tensorspectra.serialize import dumps_tensor
+
+    x = np.random.default_rng(8).standard_normal((3, 3, 3))
+    x_path, y_path, frames_path = (tmp_path / n for n in ("x.json", "y.json", "f.json"))
+    dump_tensor(x, x_path)
+    dump_tensor(2.0 * x, y_path)
+    frames_path.write_text(
+        "[" + ",".join(dumps_tensor(u) for u in hosvd(x).factors) + "]", encoding="utf-8"
+    )
+    calls = []
+    original = vonneumann.find_block_partition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (vonneumann, cli):
+        monkeypatch.setattr(module, "find_block_partition", counted, raising=False)
+    code, payload = invoke(
+        ["vn-check", "--x", str(x_path), "--y", str(y_path), "--frames", str(frames_path)]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    structure = payload["structure"]
+    assert structure["verified"] is structure["proportional"] is True
+    assert structure["constants"] == pytest.approx([2.0])
+
+
 def test_subgrad_pipeline(tmp_path):
     rep_path = tmp_path / "odeco.json"
     code, _ = invoke(

@@ -73,6 +73,20 @@ def test_svd_rejects_non_finite():
         svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
+def test_singular_values_of_a_stack():
+    stack = np.random.default_rng(4).standard_normal((2, 3, 4, 5))
+    values = singular_values(stack)
+    assert values.shape == (2, 3, 4)
+    for i in range(2):
+        for j in range(3):
+            assert np.max(np.abs(values[i, j] - singular_values(stack[i, j]))) <= 1e-14
+    stack[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="matrix: entries must be finite"):
+        singular_values(stack)
+    with pytest.raises(ValueError, match="2-D"):
+        singular_values(np.ones(3))
+
+
 def test_is_orthogonal():
     assert is_orthogonal(np.eye(3))
     c, s = np.cos(0.3), np.sin(0.3)

@@ -281,3 +281,66 @@ def test_hosvd_properties(shape, exponent, seed):
     assert all(is_orthogonal(u, 1e-12) for u in h.factors)
     assert all(sign_anchored(u) for u in h.factors)
     assert np.max(core_orthogonality_report(h)) <= 1e-10 * norm_x**2
+
+
+class TestStackedSpectra:
+    @pytest.mark.parametrize("shape", [(10, 2, 2), (3, 4, 3), (2, 3, 4, 5), (3, 3, 3)])
+    def test_stack_matches_per_tensor_spectra(self, shape):
+        from tensorspectra.spectral import _stacked_spectra
+
+        stack = np.random.default_rng(len(shape)).standard_normal((4,) + shape)
+        padded = _stacked_spectra(stack)
+        assert padded.shape == (4, len(shape), max(shape))
+        for i, x in enumerate(stack):
+            for d, (s, n) in enumerate(zip(all_mode_spectra(x), shape)):
+                assert s.shape == (n,)
+                assert np.max(np.abs(padded[i, d, :n] - s)) <= 1e-14
+                assert not padded[i, d, n:].any()
+                assert np.max(np.abs(mode_spectrum(x, d + 1) - s)) <= 1e-14
+
+
+class TestScaleSafeNorm:
+    """Overflow-prone exponents on a 3^3 Gaussian tensor times 100."""
+
+    X = 100.0 * np.random.default_rng(0).standard_normal((3, 3, 3))
+
+    def test_large_p_is_finite(self):
+        value = schatten_norm(self.X, SchattenParams(200, 1, 1))
+        # ||s||_200 by max-scaling, per mode, from an independent SVD
+        expected = 0.0
+        for d in range(3):
+            s = np.linalg.svd(np.moveaxis(self.X, d, 0).reshape(3, -1), compute_uv=False)
+            expected += s[0] * float(np.sum((s / s[0]) ** 200)) ** (1 / 200)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert 1.0e3 < value < 1.2e3
+
+    def test_large_q_does_not_overflow(self):
+        # every mode spectrum has l_2 norm ||X||_F, so N = 3^(1/200) ||X||_F
+        value = schatten_norm(self.X, SchattenParams(2, 200, 1))
+        assert value == pytest.approx(3 ** (1 / 200) * frobenius(self.X), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p_exp=st.floats(0.0, 3.0),
+    q_exp=st.floats(0.0, 3.0),
+    scale_exp=st.integers(-150, 150),
+    shape=st.sampled_from([(3, 3, 3), (2, 4), (3, 2, 4), (2, 2, 2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_scale_safe_property(p_exp, q_exp, scale_exp, shape, seed):
+    from tensorspectra import schatten_value_tuple
+
+    params = SchattenParams(10.0**p_exp, 10.0**q_exp, 1.0)
+    scale = 10.0**scale_exp
+    x = np.random.default_rng(seed).standard_normal(shape)
+    value = schatten_norm(scale * x, params)
+    assert math.isfinite(value) and value > 0.0
+    # positive homogeneity against the unscaled tensor
+    assert value == pytest.approx(scale * schatten_norm(x, params), rel=1e-10)
+    # the tensor norm is the tuple norm of the zero-padded spectra
+    spectra = all_mode_spectra(scale * x)
+    padded = np.zeros((len(shape), max(shape)))
+    for d, s in enumerate(spectra):
+        padded[d, : s.size] = s
+    assert schatten_value_tuple(padded, params) == pytest.approx(value, rel=1e-12)

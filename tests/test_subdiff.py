@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorspectra import (
     DualExponents,
@@ -361,7 +364,8 @@ class TestConjugateEstimate:
             dense * (0.9 / ratio), params, budget=20_000, seed=0
         )
         assert estimate.best_value <= 1e-6
-        assert estimate.evaluations == 20_000  # full budget spent when no certificate
+        # y = 0, the aligned certificate, then (20_000 - 2) // 5 Gaussian probes
+        assert estimate.evaluations == 2 + 3_999
 
     @pytest.mark.parametrize("params", PARAM_GRID_3)
     def test_outside_dual_ball(self, params):
@@ -382,3 +386,152 @@ class TestConjugateEstimate:
             estimate.maximizer, params
         )
         assert attained == pytest.approx(estimate.best_value, rel=1e-9)
+
+
+class TestExponentValidation:
+    def test_lp_norm_rejects_p_below_one(self):
+        with pytest.raises(ValueError, match="p: exponent"):
+            lp_norm([1.0, 1.0], 0.5)
+
+    def test_mixed_norm_names_the_bad_exponent(self):
+        rows = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match="p: exponent"):
+            mixed_norm(rows, 0.5, 1.0)
+        with pytest.raises(ValueError, match="q: exponent"):
+            mixed_norm(rows, 2.0, 0.5)
+        with pytest.raises(ValueError, match="p: exponent"):
+            mixed_norm(rows, math.nan, 1.0)
+
+    def test_infinite_exponents_accepted(self):
+        assert lp_norm([3.0, -4.0], math.inf) == 4.0
+        assert mixed_norm([[3.0, 4.0], [1.0]], 2.0, math.inf) == 5.0
+
+
+def test_ragged_mixed_norm_equals_zero_padded():
+    ragged = [[3.0, 4.0], [1.0], [2.0, 2.0, 1.0]]
+    padded = [[3.0, 4.0, 0.0], [1.0, 0.0, 0.0], [2.0, 2.0, 1.0]]
+    for p, q in ((1.0, 1.0), (2.0, 3.0), (1.5, math.inf), (math.inf, 2.0)):
+        assert mixed_norm(ragged, p, q) == mixed_norm(padded, p, q)
+
+
+class TestPinnedValues:
+    """Values of the seeded odeco case below, as computed before the norms,
+    spectra and specials were batched; they must not drift."""
+
+    REP = random_odeco((3, 3, 3), 2, 11)
+    PARAMS = SchattenParams(3, 2, 1)
+
+    def test_inequality_test_with_gaussian_pool(self):
+        g = np.random.default_rng(5).standard_normal((3, 3, 3))
+        slack = subgradient_inequality_test(
+            to_dense(self.REP), g, self.PARAMS, trials=2000, seed=4
+        )
+        assert abs(slack - (-24.739999456255)) <= 1e-12
+
+    def test_inequality_test_on_specials_only(self):
+        g = 1.5 * schatten_subgradient(self.REP, self.PARAMS)
+        slack = subgradient_inequality_test(
+            to_dense(self.REP), g, self.PARAMS, trials=31, seed=4
+        )
+        assert abs(slack - (-1.2645057400299353)) <= 1e-12
+
+
+class TestSubgradientBytes:
+    # exactly representable orthonormal columns, so the bytes do not depend
+    # on a decomposition routine
+    ROT = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    WIDE = np.array([[0.0, 0.6, 0.0], [0.0, 0.8, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    REP = make_odeco([3.0, 2.0, 0.5], [ROT, WIDE, ROT[::-1]], (3, 4, 3))
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            (
+                SchattenParams(1, 1, 1 / 3),
+                "e35636099f2043d75703a23d25eb8074ed67081aef76c02a7e7e048e8c428a83",
+            ),
+            (
+                SchattenParams(1, 2, 1 / 3),
+                "e134abd76f45eb3a40d43069e61c65a3da609c4da11a4ddb666ba089f34258da",
+            ),
+        ],
+    )
+    def test_bytes_pinned(self, params, digest):
+        g = schatten_subgradient(self.REP, params)
+        assert hashlib.sha256(g.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("params", PARAM_GRID_3)
+    def test_bytes_equal_direct_einsum(self, params):
+        vstar = dual_vector_maximizer(self.REP.alphas, params.p).vector
+        tau = params.lam * 3 ** (1.0 / params.q) * vstar
+        direct = np.einsum("z,az,bz,cz->abc", tau, *self.REP.factors)
+        assert schatten_subgradient(self.REP, params).tobytes() == direct.tobytes()
+
+
+def _pairing_extremal(diag, p):
+    # beta* of the estimator: the unit-l_p direction maximizing <diag, beta>
+    signs = np.where(diag >= 0, 1.0, -1.0)
+    if p == 1.0:
+        beta = np.zeros(diag.size)
+        beta[int(np.argmax(np.abs(diag)))] = 1.0
+        return beta * signs
+    beta = signs * (np.abs(diag) / np.max(np.abs(diag))) ** (holder_conjugate(p) - 1.0)
+    return beta / lp_norm(beta, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    p=st.floats(1.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairing_extremal_direction_is_never_beaten(n, p, seed):
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+    beta_star = _pairing_extremal(diag, p)
+    best = float(np.dot(diag, beta_star))
+    # Hölder: the supremum over unit-l_p beta is ||diag||_{p*}
+    assert best == pytest.approx(lp_norm(diag, holder_conjugate(p)), rel=1e-12)
+    betas = rng.standard_normal((2000, n))
+    betas /= np.array([lp_norm(b, p) for b in betas])[:, None]
+    assert np.max(betas @ diag) <= best * (1.0 + 1e-12)
+
+
+class TestConjugateCertificate:
+    @pytest.mark.parametrize("params", PARAM_GRID_3)
+    def test_inside_estimate_is_exactly_zero(self, params):
+        rep = random_odeco((3, 3, 3), 3, 52)
+        dense = to_dense(rep)
+        duals = DualExponents.of(params)
+        ratio = mixed_norm(all_mode_spectra(dense), duals.p_star, duals.q_star) / (
+            params.lam * 3
+        )
+        estimate = estimate_tensor_conjugate(
+            dense * (0.9 / ratio), params, budget=20_000, seed=1
+        )
+        assert estimate.best_value == 0.0
+        assert not estimate.maximizer.any()
+
+    @pytest.mark.parametrize("params", PARAM_GRID_3)
+    def test_aligned_value_is_the_closed_form(self, params):
+        # budget 2: y = 0 and the aligned certificate, nothing else
+        rep = random_odeco((3, 4, 3), 3, 53)
+        dense = 2.0 * to_dense(rep)
+        estimate = estimate_tensor_conjugate(dense, params, budget=2)
+        expected = lp_norm(2.0 * rep.alphas, holder_conjugate(params.p)) - params.lam * 3 ** (
+            1.0 / params.q
+        )
+        assert estimate.evaluations == 2
+        assert estimate.best_value == pytest.approx(max(0.0, expected), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_aligned_certificate_for_p_near_one(self, scale):
+        # p* = 257: the raw power |diag|^256 underflows (or overflows) at
+        # these scales, which used to leave a NaN direction
+        params = SchattenParams(1.00390625, 1.0, 1e-4 * scale)
+        rep = random_odeco((3, 3, 3), 3, 54)
+        dense = scale * to_dense(rep)
+        estimate = estimate_tensor_conjugate(dense, params, budget=2)
+        expected = lp_norm(scale * rep.alphas, holder_conjugate(params.p)) - params.lam * 3
+        assert expected > 0.0
+        assert estimate.best_value == pytest.approx(expected, rel=1e-12)

@@ -186,3 +186,22 @@ class TestEqualityViaStructure:
         for c in (0.0, 2.5):
             assert check_equality_via_structure(rotated, c * rotated, frames, 1e-8)
             assert vn_report(rotated, c * rotated, 1e-8).equality
+
+    def test_structure_result_matches_the_parts(self):
+        from tensorspectra.vonneumann import EqualityStructure, _equality_structure
+
+        rep_x = random_odeco((3, 3, 3), 2, 4)
+        rep_y = make_odeco([5.0, 0.25], rep_x.factors)
+        x, y = to_dense(rep_x), to_dense(rep_y)
+        frames = [complete_orthonormal(f) for f in rep_x.factors]
+        result = _equality_structure(x, y, frames, 1e-8)
+        assert isinstance(result, EqualityStructure)
+        cx = multi_mode_mul(x, [w.T for w in frames])
+        cy = multi_mode_mul(y, [w.T for w in frames])
+        partition = find_block_partition(cx, cy, 1e-8)
+        ok, constants = verify_equality_structure(cx, cy, partition, 1e-8)
+        assert result.partition == partition
+        assert result.verified is ok is True
+        assert np.array_equal(result.constants, constants)
+        with pytest.raises(AttributeError):
+            result.verified = False
