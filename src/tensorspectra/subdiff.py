@@ -13,8 +13,9 @@ mixed conjugate-norm bound on the candidate's spectra.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -306,20 +307,91 @@ def check_membership(
     )
 
 
-@lru_cache(maxsize=8)
-def _gaussian_pool(shape: tuple[int, ...], seed: int, count: int):
-    # deterministic probe pool plus its stacked spectra; cached so repeated
-    # sampling calls over the same shape and seed reuse the SVDs
+# Probe pools are drawn and decomposed in chunks of about this many bytes, so
+# the memory of a pool that is not cached does not grow with the probe count.
+_CHUNK_BYTES = 4 << 20
+# Bytes of whole pools (probes plus spectra) kept between calls. 32 MiB holds
+# the working sets that repeat in one process: verify's subgradients suite
+# (6 pools, about 14 MB), its conjugate suite (1 pool, about 6 MB) and the
+# certify-small benchmark workload (5 pools, about 13 MB). A larger pool is
+# drawn again on every call and never stored.
+_POOL_CACHE_BYTES = 32 << 20
+_PROBE_SCALES = np.geomspace(0.25, 4.0, 7)
+_pool_cache: OrderedDict = OrderedDict()
+_pool_lock = threading.Lock()
+
+
+def _make_room(nbytes: int) -> None:
+    # evict least recently used pools until nbytes more fit; holds _pool_lock
+    while _pool_cache and nbytes + sum(
+        a.nbytes + b.nbytes for a, b in _pool_cache.values()
+    ) > _POOL_CACHE_BYTES:
+        _pool_cache.popitem(last=False)
+
+
+def _chunk_bounds(count: int, size: int):
+    # chunks start at multiples of four probes and none but a whole one-probe
+    # pool holds a single probe. OpenBLAS's dgemv rounds rows in groups of
+    # four and numpy hands a one-row product to ddot, so every probe's pairing
+    # is then rounded exactly as in one single-threaded product over the
+    # whole pool
+    step = 4 * max(1, _CHUNK_BYTES // (32 * size))
+    start = 0
+    while start < count:
+        stop = count if count - start <= step + 1 else start + step
+        yield start, stop
+        start = stop
+
+
+def _probe_chunks(shape: tuple[int, ...], seed: int, count: int):
+    """The seeded Gaussian probe pool, as ``(stack, spectra)`` chunks.
+
+    Probe i is the i-th draw of one Generator seeded by (seed, D, shape,
+    count), times the scale ``_PROBE_SCALES[i % 7]``; ``spectra`` holds the
+    stacked mode spectra of the chunk's probes. Sequential draws concatenate
+    bit for bit, so no value depends on the chunking. A pool whose probes and
+    spectra fit ``_POOL_CACHE_BYTES`` is assembled once, after the least
+    recently used pools are evicted to make room, and is then served, read-only,
+    as a single chunk; a larger pool is streamed chunk by chunk on every call.
+    """
+    if count < 1:
+        return
+    key = (shape, seed, count)
+    size = math.prod(shape)
+    nbytes = 8 * count * (size + len(shape) * max(shape))
+    keep = nbytes <= _POOL_CACHE_BYTES
+    with _pool_lock:
+        pool = _pool_cache.get(key)
+        if pool is not None:
+            _pool_cache.move_to_end(key)
+        elif keep:
+            _make_room(nbytes)
+    if pool is not None:
+        yield pool
+        return
+    if keep:
+        stack = np.empty((count,) + shape)
+        spectra = np.empty((count, len(shape), max(shape)))
     rng = np.random.default_rng([seed, len(shape), *shape, count])
-    stack = rng.standard_normal((count,) + shape)
-    scales = np.geomspace(0.25, 4.0, 7)
-    stack *= scales[np.arange(count) % scales.size].reshape(
-        (count,) + (1,) * len(shape)
-    )
-    spectra = _stacked_spectra(stack)
-    stack.flags.writeable = False
-    spectra.flags.writeable = False
-    return stack, spectra
+    for start, stop in _chunk_bounds(count, size):
+        chunk = rng.standard_normal(
+            (stop - start,) + shape, out=stack[start:stop] if keep else None
+        )
+        chunk *= _PROBE_SCALES[np.arange(start, stop) % _PROBE_SCALES.size].reshape(
+            (stop - start,) + (1,) * len(shape)
+        )
+        chunk_spectra = _stacked_spectra(chunk)
+        if keep:
+            spectra[start:stop] = chunk_spectra
+        else:
+            yield chunk, chunk_spectra
+    if keep:
+        stack.flags.writeable = False
+        spectra.flags.writeable = False
+        with _pool_lock:
+            _make_room(nbytes)
+            _pool_cache[key] = (stack, spectra)
+        yield stack, spectra
 
 
 def subgradient_inequality_test(
@@ -331,7 +403,10 @@ def subgradient_inequality_test(
     under random orthogonal frames, symmetric and odeco specials, and fills
     the remaining trials with Gaussian tensors at several scales. The
     minimum is nonnegative up to roundoff exactly when g is a subgradient
-    of the norm at x.
+    of the norm at x. The Gaussian tensors are the probe pool of (shape,
+    seed, count), drawn in chunks of a few MiB and reduced to a running
+    minimum, so memory does not grow with ``trials``; pools up to 32 MiB are
+    cached whole and reused by later calls with the same key.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -364,9 +439,8 @@ def subgradient_inequality_test(
         return float(np.min(norms - norm_x - (pairings - g_dot_x)))
 
     best = slack(stack, _stacked_spectra(stack))
-    n_gauss = trials - stack.shape[0]
-    if n_gauss > 0:
-        best = min(best, slack(*_gaussian_pool(dims, seed, n_gauss)))
+    for chunk in _probe_chunks(dims, seed, trials - stack.shape[0]):
+        best = min(best, slack(*chunk))
     return best
 
 
@@ -410,10 +484,13 @@ def estimate_tensor_conjugate(
     supremum is ||diag||_{p*} - lam D^(1/q) (Hölder), attained at the
     pairing-extremal beta*, which is evaluated once. Seeded Gaussian probes
     at several scales, with exact norms, then act as an independent
-    falsifier off the aligned directions. A positive value found is
-    polished by a short full-space coordinate ascent and rescaled into a
-    comfortably positive certificate. Stops early once ``target`` is
-    reached, when given.
+    falsifier off the aligned directions: a fifth of the remaining budget,
+    at most 20,000, scanned chunk by chunk with a running maximum, so memory
+    stays at one chunk whatever the count (pools up to 32 MiB are cached
+    whole for later calls with the same shape, seed and count). A positive
+    value found is polished by a short full-space coordinate ascent and
+    rescaled into a comfortably positive certificate. Stops early once
+    ``target`` is reached, when given.
     """
     x = np.asarray(x, dtype=float)
     if budget < 1:
@@ -455,13 +532,17 @@ def estimate_tensor_conjugate(
     # Gaussian probes with exact norms
     n_gauss = min((budget - evals) // 5, 20_000)
     if n_gauss > 0 and not done():
-        stack, spectra = _gaussian_pool(dims, seed, n_gauss)
-        objective = stack.reshape(n_gauss, -1) @ x.ravel() - _schatten_norms(spectra, params)
+        flat_x = x.ravel()
+        for stack, spectra in _probe_chunks(dims, seed, n_gauss):
+            objective = stack.reshape(stack.shape[0], -1) @ flat_x - _schatten_norms(
+                spectra, params
+            )
+            # strict >, so the first of equal maxima wins as with one argmax
+            k = int(np.argmax(objective))
+            if objective[k] > best:
+                best = float(objective[k])
+                best_y = np.array(stack[k], dtype=float)
         evals += n_gauss
-        k = int(np.argmax(objective))
-        if objective[k] > best:
-            best = float(objective[k])
-            best_y = np.asarray(stack[k], dtype=float).copy()
 
     # short full-space polish around the best candidate
     if best > 0.0 and evals < budget and (target is None or best < target):

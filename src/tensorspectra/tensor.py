@@ -8,7 +8,7 @@ Modes are numbered 1..D throughout the public API. Data is stored row-major
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
+from math import factorial, isfinite, sqrt
 
 import numpy as np
 
@@ -84,9 +84,29 @@ def inner(x, y) -> float:
     return float(np.dot(x.ravel(), y.ravel()))
 
 
+# sums of squares below this may have lost terms to underflow
+_TINY_SQUARES = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def frobenius(x) -> float:
-    """Frobenius norm, the square root of ``inner(x, x)``."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float).ravel()))
+    """Frobenius norm, the square root of ``inner(x, x)``, safe at any scale.
+
+    The plain sum of squares is used whenever it is finite and far enough
+    above the subnormal range that squares lost to underflow cannot matter;
+    otherwise the entries are first scaled by their largest magnitude, as in
+    the reference BLAS dnrm2, so huge tensors do not overflow to inf and tiny
+    ones do not underflow to 0.
+    """
+    flat = np.asarray(x, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        squares = float(np.dot(flat, flat))
+    if isfinite(squares) and squares >= _TINY_SQUARES:
+        return sqrt(squares)
+    largest = float(np.max(np.abs(flat))) if flat.size else 0.0
+    if largest == 0.0 or not isfinite(largest):
+        return largest
+    scaled = flat / largest
+    return largest * sqrt(float(np.dot(scaled, scaled)))
 
 
 def matricize(x, mode: int) -> np.ndarray:

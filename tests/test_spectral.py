@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,20 @@ def test_hosvd_properties(shape, exponent, seed):
     assert all(is_orthogonal(u, 1e-12) for u in h.factors)
     assert all(sign_anchored(u) for u in h.factors)
     assert np.max(core_orthogonality_report(h)) <= 1e-10 * norm_x**2
+
+
+@pytest.mark.parametrize("exponent", [-305, 305])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (4, 2, 3), (2, 3, 2, 2)])
+def test_hosvd_at_the_ends_of_binary64(shape, exponent):
+    # squares of these entries overflow or underflow; no step may square them
+    x = 10.0**exponent * np.random.default_rng(7).standard_normal(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hosvd(x)
+        residual = frobenius(hosvd_reconstruct(h) - x) / frobenius(x)
+    assert residual <= 1e-13
+    assert all(is_orthogonal(u, 1e-12) for u in h.factors)
+    assert all(sign_anchored(u) for u in h.factors)
 
 
 class TestStackedSpectra:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tensorspectra import (
     conjugate_value_tuple,
     dual_vector_maximizer,
     estimate_tensor_conjugate,
+    frobenius,
     holder_conjugate,
     inner,
     lp_norm,
@@ -31,6 +34,7 @@ from tensorspectra import (
     tuple_membership,
     tuple_subgradient,
 )
+from tensorspectra import subdiff
 from tensorspectra.verify import grid_best_pairing
 
 PARAM_GRID_3 = [
@@ -260,6 +264,16 @@ class TestMembership:
             check_membership(
                 np.ones((2, 2)), np.ones((2, 3)), SchattenParams(1, 1, 0.5)
             )
+
+    def test_huge_point_keeps_a_finite_pairing_tolerance(self):
+        # ||x||_F used to overflow to inf at 1e300, which made the tolerance
+        # tol * max(1, ||x|| ||y||) infinite and accepted any candidate
+        dense = to_dense(random_odeco((3, 3, 3), 2, 1))
+        y = np.random.default_rng(9).standard_normal((3, 3, 3))
+        y *= 0.1 / frobenius(y)
+        params = SchattenParams(2, 2, 1)
+        assert not check_membership(dense, y, params).accepted
+        assert not check_membership(1e300 * dense, y, params).accepted
 
 
 class TestSamplingOracle:
@@ -535,3 +549,129 @@ class TestConjugateCertificate:
         expected = lp_norm(scale * rep.alphas, holder_conjugate(params.p)) - params.lam * 3
         assert expected > 0.0
         assert estimate.best_value == pytest.approx(expected, rel=1e-12)
+
+
+def _cached_bytes():
+    return sum(a.nbytes + b.nbytes for a, b in subdiff._pool_cache.values())
+
+
+@pytest.fixture
+def fresh_pool_cache(monkeypatch):
+    monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
+
+
+class TestProbePool:
+    # 300 probes of 27 entries make 8,100 multiply-adds per pairing product,
+    # under OpenBLAS's threading threshold of 9,216, so the unchunked
+    # reference product runs on one thread whatever the BLAS thread count
+    SHAPE = (3, 3, 3)
+    COUNT = 300
+    # probes per chunk asked for; chunks are rounded to groups of four probes
+    CHUNKS = [1, 7, 28, None, 10**9]
+
+    def _set_chunk(self, monkeypatch, probes):
+        if probes is not None:
+            chunk_bytes = probes * 8 * math.prod(self.SHAPE)
+            monkeypatch.setattr(subdiff, "_CHUNK_BYTES", chunk_bytes)
+
+    def _results(self):
+        # a large Gaussian g puts the minimum slack, and a Gaussian x the
+        # maximum objective, on a probe, where the pairing's rounding shows
+        rep = random_odeco(self.SHAPE, 3, 60)
+        dense = to_dense(rep)
+        rng = np.random.default_rng(8)
+        g = 3.0 * rng.standard_normal(self.SHAPE)
+        params = SchattenParams(3, 2, 1)
+        trials = 31 + self.COUNT  # the 31 specials, then COUNT probes
+        out = [subgradient_inequality_test(dense, g, params, trials=trials, seed=5)]
+        # inside, outside, and outside with a target the probes reach
+        cases = [(0.5 * dense, None), (g, None), (g, 20.0)]
+        for x, target in cases:
+            # y = 0 and the aligned certificate, then COUNT probes
+            e = estimate_tensor_conjugate(
+                x, params, budget=2 + 5 * self.COUNT, seed=6, target=target
+            )
+            out.append((e.best_value, e.maximizer.tobytes(), e.evaluations))
+        return out
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    @pytest.mark.parametrize("probes", CHUNKS)
+    def test_results_do_not_depend_on_the_chunking(
+        self, fresh_pool_cache, monkeypatch, probes, budget
+    ):
+        reference = self._results()
+        monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
+        self._set_chunk(monkeypatch, probes)
+        if budget is not None:
+            monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", budget)
+        assert self._results() == reference  # drawn
+        assert self._results() == reference  # cached, or drawn again
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 301, 303])
+    @pytest.mark.parametrize("probes", CHUNKS)
+    def test_streamed_chunks_concatenate_to_the_pool(
+        self, fresh_pool_cache, monkeypatch, count, probes
+    ):
+        (pool,) = subdiff._probe_chunks(self.SHAPE, 3, count)
+        assert not pool[0].flags.writeable and not pool[1].flags.writeable
+        self._set_chunk(monkeypatch, probes)
+        monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 0)
+        chunks = list(subdiff._probe_chunks(self.SHAPE, 3, count))
+        assert not subdiff._pool_cache
+        sizes = [len(stack) for stack, _ in chunks]
+        assert all(size % 4 == 0 for size in sizes[:-1])
+        assert sizes[-1] > 1 or count == 1
+        assert np.array_equal(np.concatenate([c[0] for c in chunks]), pool[0])
+        assert np.array_equal(np.concatenate([c[1] for c in chunks]), pool[1])
+
+    def test_cache_stays_within_its_byte_budget(self, fresh_pool_cache, monkeypatch):
+        budget = 100_000
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", budget)
+        per_probe = 8 * (27 + 3 * 3)  # the probe and its three mode spectra
+        for count in (300, 50, 200, 400, 10, 340, 120, 347, 300):
+            chunks = list(subdiff._probe_chunks(self.SHAPE, 0, count))
+            assert sum(len(stack) for stack, _ in chunks) == count
+            assert _cached_bytes() <= budget
+            key = (self.SHAPE, 0, count)
+            assert (key in subdiff._pool_cache) == (count * per_probe <= budget)
+            if key in subdiff._pool_cache:
+                assert next(reversed(subdiff._pool_cache)) == key
+
+    def test_cache_evicts_the_least_recently_used_pool(
+        self, fresh_pool_cache, monkeypatch
+    ):
+        # room for two of these pools of 100 to 102 probes, 288 bytes each
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 300 * 288)
+        for count in (100, 101, 100, 102):  # the third call is a hit
+            list(subdiff._probe_chunks(self.SHAPE, 0, count))
+        assert list(subdiff._pool_cache) == [(self.SHAPE, 0, 100), (self.SHAPE, 0, 102)]
+
+    def test_estimator_memory_does_not_grow_with_its_budget(
+        self, fresh_pool_cache, monkeypatch
+    ):
+        # pools larger than the cache are streamed, so the peak is set by the
+        # chunk size: 1,000 and 10,000 probes peak alike
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 1 << 16)
+        monkeypatch.setattr(subdiff, "_CHUNK_BYTES", 1 << 16)
+        rep = random_odeco(self.SHAPE, 3, 50)
+        params = SchattenParams(2, 2, 1)
+        inside = 0.5 * to_dense(rep) / np.max(rep.alphas)
+        already = tracemalloc.is_tracing()
+        if not already:
+            tracemalloc.start()
+        peaks = []
+        try:
+            for budget in (2 + 5 * 1_000, 2 + 5 * 10_000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                estimate = estimate_tensor_conjugate(
+                    inside, params, budget=budget, seed=0
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                assert estimate.best_value == 0.0
+        finally:
+            if not already:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] <= 8 << 16

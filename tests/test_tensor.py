@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,25 @@ class TestInnerFrobenius:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             inner(np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e300, 1e305])
+    def test_frobenius_at_extreme_scales(self, scale):
+        # the squares underflow to 0 or overflow to inf; the scaled sum does not
+        x = np.random.default_rng(3).standard_normal((3, 3, 3))
+        expected = scale * frobenius(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = frobenius(scale * x)
+        assert abs(value - expected) <= 1e-15 * expected
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 5), (4, 3, 2, 2)])
+    def test_frobenius_bytes_in_the_normal_range(self, shape):
+        x = np.random.default_rng(4).standard_normal(shape)
+        assert frobenius(x) == np.sqrt(np.dot(x.ravel(), x.ravel()))
+
+    def test_frobenius_of_non_finite_entries(self):
+        assert frobenius(np.array([[1.0, np.inf], [0.0, 1.0]])) == np.inf
+        assert np.isnan(frobenius(np.array([[1.0, np.nan], [0.0, 1.0]])))
 
 
 class TestMatricize:
