@@ -23,10 +23,9 @@ from .spectral import (
     schatten_norm,
 )
 from .subdiff import (
-    DualExponents,
+    _spectral_dual_ratio,
     check_membership,
     estimate_tensor_conjugate,
-    mixed_norm,
     schatten_subgradient,
 )
 from .tensor import symmetrize
@@ -263,10 +262,7 @@ def _cmd_vn_check(args) -> int:
 def _cmd_conjugate_check(args) -> int:
     x = serialize.load_dense(args.path)
     params = _resolve_params(args, x.ndim)
-    duals = DualExponents.of(params)
-    ratio = mixed_norm(all_mode_spectra(x), duals.p_star, duals.q_star) / (
-        params.lam * x.ndim
-    )
+    ratio = _spectral_dual_ratio(x, params)
     estimate = estimate_tensor_conjugate(
         x, params, budget=args.budget, seed=args.seed
     )

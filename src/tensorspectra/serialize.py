@@ -69,6 +69,26 @@ def _require_field(doc: dict, field: str, context: str):
     return doc[field]
 
 
+def _loads_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"document: invalid JSON ({exc})") from exc
+
+
+def _number_list(raw, field: str, context: str) -> np.ndarray:
+    # a nonempty JSON list of numbers, booleans excluded, as float64
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"{field}: expected a nonempty list in {context}")
+    for v in raw:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{field}: entries must be numbers, got {v!r}")
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{field}: entries must fit in binary64") from None
+
+
 def _parse_shape(raw, context: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"shape: expected a nonempty list in {context}")
@@ -88,22 +108,13 @@ def dumps_tensor(x) -> str:
 
 
 def loads_tensor(text: str) -> np.ndarray:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"document: invalid JSON ({exc})") from exc
-    return _tensor_from_doc(doc, "tensor document")
+    return _tensor_from_doc(_loads_json(text), "tensor document")
 
 
 def _tensor_from_doc(doc, context: str) -> np.ndarray:
     shape = _parse_shape(_require_field(doc, "shape", context), context)
-    data = _require_field(doc, "data", context)
-    if not isinstance(data, list):
-        raise ValueError(f"data: expected a list in {context}")
-    for v in data:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"data: entries must be numbers, got {v!r}")
-    return as_tensor(np.array(data, dtype=float), shape)
+    data = _number_list(_require_field(doc, "data", context), "data", context)
+    return as_tensor(data, shape)
 
 
 def dump_tensor(x, path) -> None:
@@ -127,20 +138,15 @@ def dumps_odeco(rep: OdecoRep) -> str:
 
 
 def loads_odeco(text: str) -> OdecoRep:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"document: invalid JSON ({exc})") from exc
+    doc = _loads_json(text)
     context = "odeco document"
     shape = _parse_shape(_require_field(doc, "shape", context), context)
-    alphas = _require_field(doc, "alphas", context)
-    if not isinstance(alphas, list) or not alphas:
-        raise ValueError("alphas: expected a nonempty list")
+    alphas = _number_list(_require_field(doc, "alphas", context), "alphas", context)
     raw_factors = _require_field(doc, "factors", context)
     if not isinstance(raw_factors, list) or not raw_factors:
         raise ValueError("factors: expected a nonempty list")
     factors = [_tensor_from_doc(f, f"factors[{i}]") for i, f in enumerate(raw_factors)]
-    return make_odeco(np.array(alphas, dtype=float), factors, shape)
+    return make_odeco(alphas, factors, shape)
 
 
 def dump_odeco(rep: OdecoRep, path) -> None:
@@ -161,10 +167,7 @@ def dumps_hosvd(h: Hosvd) -> str:
 
 
 def loads_hosvd(text: str) -> Hosvd:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"document: invalid JSON ({exc})") from exc
+    doc = _loads_json(text)
     context = "hosvd document"
     core = _tensor_from_doc(_require_field(doc, "core", context), "core")
     raw_factors = _require_field(doc, "factors", context)
@@ -185,10 +188,7 @@ def load_dense(path) -> np.ndarray:
 
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"document: invalid JSON ({exc})") from exc
+    doc = _loads_json(text)
     if isinstance(doc, dict) and "alphas" in doc:
         return to_dense(loads_odeco(text))
     return _tensor_from_doc(doc, "tensor document")
@@ -196,10 +196,7 @@ def load_dense(path) -> np.ndarray:
 
 def loads_matrices(text: str) -> list[np.ndarray]:
     """Parse a JSON list of matrix documents (tensor format with D = 2)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"document: invalid JSON ({exc})") from exc
+    doc = _loads_json(text)
     if not isinstance(doc, list) or not doc:
         raise ValueError("document: expected a nonempty list of matrices")
     matrices = []

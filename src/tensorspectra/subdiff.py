@@ -248,6 +248,14 @@ def schatten_subgradient(rep: OdecoRep, params: SchattenParams) -> np.ndarray:
     return to_dense(OdecoRep(rep.shape, tau[: rep.rank], rep.factors))
 
 
+def _spectral_dual_ratio(x: np.ndarray, params: SchattenParams) -> float:
+    # mixed l_{p*}/l_{q*} norm of the mode spectra over lam * D: at most 1
+    # exactly when x lies in the dual unit ball of the norm
+    duals = DualExponents.of(params)
+    spectra = _stacked_spectra(x[None])[0]
+    return float(_mixed_norm(spectra, duals.p_star, duals.q_star)) / (params.lam * x.ndim)
+
+
 @dataclass(frozen=True)
 class MembershipCertificate:
     """Outcome of the three-part subgradient membership test.
@@ -283,10 +291,7 @@ def check_membership(
     norm_x = schatten_norm(x, params)
     pairing = inner(x, y)
     scale = max(1.0, frobenius(x) * frobenius(y))
-    duals = DualExponents.of(params)
-    dual_value = float(
-        _mixed_norm(_stacked_spectra(y[None]), duals.p_star, duals.q_star)[0]
-    ) / (params.lam * x.ndim)
+    dual_value = _spectral_dual_ratio(y, params)
     vn_ok = report.equality
     pairing_ok = abs(pairing - norm_x) <= tol * scale
     dual_ok = dual_value <= 1.0 + tol
@@ -458,8 +463,8 @@ class ConjugateEstimate:
     """Best value of <x, y> - N(y) found, with its maximizer.
 
     ``evaluations`` counts the candidates y whose objective was computed:
-    y = 0, the aligned certificate, the Gaussian probes, the polish steps
-    and the rescaled maximizer.
+    y = 0, the aligned certificate, the Gaussian probes and the rescaled
+    maximizer, each phase only when it runs.
     """
 
     best_value: float
@@ -481,16 +486,16 @@ def estimate_tensor_conjugate(
     certificate: for y = diag(beta) x_1 U_1 ... x_D U_D on the HOSVD factors
     U_d of x, N(y) = lam D^(1/q) ||beta||_p and <x, y> = <diag, beta>, with
     diag the diagonal of the HOSVD core of x. Over unit beta the objective's
-    supremum is ||diag||_{p*} - lam D^(1/q) (Hölder), attained at the
-    pairing-extremal beta*, which is evaluated once. Seeded Gaussian probes
-    at several scales, with exact norms, then act as an independent
+    supremum is ||diag||_{p*} - lam D^(1/q) (Hölder), attained at beta*, the
+    signed dual maximizer of |diag| at p*, evaluated once. Seeded Gaussian
+    probes at several scales, with exact norms, then act as an independent
     falsifier off the aligned directions: a fifth of the remaining budget,
     at most 20,000, scanned chunk by chunk with a running maximum, so memory
     stays at one chunk whatever the count (pools up to 32 MiB are cached
-    whole for later calls with the same shape, seed and count). A positive
-    value found is polished by a short full-space coordinate ascent and
-    rescaled into a comfortably positive certificate. Stops early once
-    ``target`` is reached, when given.
+    whole for later calls with the same shape, seed and count). The
+    objective is positively homogeneous, so a positive value proves the
+    supremum infinite; it is rescaled into a comfortably positive
+    certificate. The probes are skipped once ``target`` is reached.
     """
     x = np.asarray(x, dtype=float)
     if budget < 1:
@@ -508,18 +513,14 @@ def estimate_tensor_conjugate(
     diag_idx = tuple(np.arange(min(dims)) for _ in dims)
     diag = frame.core[diag_idx]
     if diag.any() and not done():
-        # the pairing-extremal unit-l_p direction of the core diagonal
-        signs = np.where(diag >= 0, 1.0, -1.0)
-        p_star = holder_conjugate(params.p)
-        if math.isinf(p_star):
+        # the pairing-extremal unit-l_p direction: at p = 1 (p* = inf) a
+        # basis vector at the largest |diag|
+        if params.p == 1.0:
             beta = np.zeros(diag.size)
             beta[int(np.argmax(np.abs(diag)))] = 1.0
-            beta *= signs
         else:
-            # relative to max |diag|, so a large p* can neither overflow the
-            # power nor underflow every entry to 0
-            beta = signs * (np.abs(diag) / np.max(np.abs(diag))) ** (p_star - 1.0)
-            beta /= lp_norm(beta, params.p)
+            beta = dual_vector_maximizer(np.abs(diag), holder_conjugate(params.p)).vector
+        beta *= np.where(diag >= 0, 1.0, -1.0)
         bound = params.lam * x.ndim ** (1.0 / params.q)
         value = float(np.dot(diag, beta) - bound * lp_norm(beta, params.p))
         evals += 1
@@ -543,32 +544,6 @@ def estimate_tensor_conjugate(
                 best = float(objective[k])
                 best_y = np.array(stack[k], dtype=float)
         evals += n_gauss
-
-    # short full-space polish around the best candidate
-    if best > 0.0 and evals < budget and (target is None or best < target):
-        step = 0.25 * max(1.0, frobenius(best_y))
-        polish = min(200, budget - evals)
-        current = best_y.copy()
-        while polish > 0 and step > 1e-3 and not done():
-            improved = False
-            for flat_index in range(current.size):
-                if polish <= 0 or done():
-                    break
-                for delta in (step, -step):
-                    if polish <= 0 or done():
-                        break
-                    candidate = current.copy()
-                    candidate.ravel()[flat_index] += delta
-                    value = inner(x, candidate) - schatten_norm(candidate, params)
-                    evals += 1
-                    polish -= 1
-                    if value > best:
-                        best = value
-                        current = candidate
-                        improved = True
-            if not improved:
-                step /= 2.0
-        best_y = current
 
     # positive values scale freely: report a comfortably positive certificate
     if best > 0.0 and evals < budget:

@@ -25,12 +25,12 @@ from .spectral import (
     schatten_norm,
 )
 from .subdiff import (
+    _spectral_dual_ratio,
     check_membership,
     dual_vector_maximizer,
     estimate_tensor_conjugate,
     holder_conjugate,
     lp_norm,
-    mixed_norm,
     schatten_subgradient,
     subgradient_inequality_test,
 )
@@ -410,12 +410,8 @@ def suite_conjugate(seed: int) -> SuiteResult:
     dims = (3, 3, 3)
     for k in range(50):
         params = _param_grid(3)[k % 5]
-        rep = random_odeco(dims, 3, int(rng.integers(2**63 - 1)))
-        dense = to_dense(rep)
-        p_star = holder_conjugate(params.p)
-        q_star = holder_conjugate(params.q)
-        ratio = mixed_norm(all_mode_spectra(dense), p_star, q_star) / (params.lam * 3)
-        inside = dense * (0.9 / ratio)
+        dense = to_dense(random_odeco(dims, 3, int(rng.integers(2**63 - 1))))
+        inside = dense * (0.9 / _spectral_dual_ratio(dense, params))
         estimate = estimate_tensor_conjugate(inside, params, budget=100_000, seed=seed)
         result.check(
             estimate.best_value <= 1e-6,
@@ -424,12 +420,8 @@ def suite_conjugate(seed: int) -> SuiteResult:
         )
     for k in range(50):
         params = _param_grid(3)[k % 5]
-        rep = random_odeco(dims, 3, int(rng.integers(2**63 - 1)))
-        dense = to_dense(rep)
-        p_star = holder_conjugate(params.p)
-        q_star = holder_conjugate(params.q)
-        ratio = mixed_norm(all_mode_spectra(dense), p_star, q_star) / (params.lam * 3)
-        outside = dense * (1.1 / ratio)
+        dense = to_dense(random_odeco(dims, 3, int(rng.integers(2**63 - 1))))
+        outside = dense * (1.1 / _spectral_dual_ratio(dense, params))
         estimate = estimate_tensor_conjugate(
             outside, params, budget=100_000, seed=seed, target=1e-3
         )

@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorspectra import SchattenParams, nuclear_norm, schatten_norm
+from tensorspectra import (
+    DualExponents,
+    SchattenParams,
+    all_mode_spectra,
+    inner,
+    mixed_norm,
+    nuclear_norm,
+    schatten_norm,
+)
 from tensorspectra.cli import run
 from tensorspectra.serialize import dump_tensor, load_dense, load_tensor
 
@@ -190,26 +198,29 @@ def test_conjugate_check(tmp_path):
     invoke(
         ["gen", "--kind", "odeco", "--shape", "3x3x3", "--rank", "2", "--seed", "4", "--out", str(rep_path)]
     )
-    code, payload = invoke(
-        [
-            "conjugate-check",
-            "--p",
-            "1",
-            "--q",
-            "1",
-            "--lambda",
-            "auto",
-            "--in",
-            str(rep_path),
-            "--budget",
-            "2000",
-            "--seed",
-            "0",
-        ]
-    )
-    assert code == 0
-    assert payload["evaluations"] <= 2000
-    assert ("certificate" in payload) == (payload["best_value"] > 0)
+    x = load_dense(rep_path)
+    # the first case lies inside the dual ball, the second outside
+    for flags, params, inside in (
+        (["--p", "1", "--q", "1", "--lambda", "auto"], SchattenParams(1, 1, 1 / 3), True),
+        (["--p", "3", "--q", "2", "--lambda", "0.2"], SchattenParams(3, 2, 0.2), False),
+    ):
+        code, payload = invoke(
+            ["conjugate-check", *flags, "--in", str(rep_path), "--budget", "2000", "--seed", "0"]
+        )
+        assert code == 0
+        assert payload["evaluations"] <= 2000
+        assert ("certificate" in payload) == (payload["best_value"] > 0)
+        duals = DualExponents.of(params)
+        ratio = mixed_norm(all_mode_spectra(x), duals.p_star, duals.q_star) / (
+            params.lam * 3
+        )
+        assert payload["spectral_dual_ratio"] == ratio
+        assert payload["inside_dual_ball"] == (ratio <= 1.0) == inside
+        assert ("certificate" in payload) == (not inside)
+        if not inside:
+            y = np.array(payload["certificate"]["data"]).reshape(x.shape)
+            attained = inner(x, y) - schatten_norm(y, params)
+            assert attained == pytest.approx(payload["best_value"], rel=1e-9)
 
 
 def test_usage_errors_exit_two():

@@ -56,6 +56,18 @@ def test_tensor_errors_name_fields():
         loads_tensor('{"shape": [1, 2], "data": [1.0, "x"]}')
     with pytest.raises(ValueError, match="JSON"):
         loads_tensor("{not json")
+    with pytest.raises(ValueError, match="data"):
+        loads_tensor('{"shape": [1, 2], "data": [1.0, 1%s]}' % ("0" * 400))
+
+
+@pytest.mark.parametrize(
+    "alphas", ['"a"', "true", "1" + "0" * 400], ids=["string", "bool", "huge-int"]
+)
+def test_odeco_alphas_errors_name_the_field(alphas):
+    factor = '{"shape": [2, 1], "data": [1.0, 0.0]}'
+    text = f'{{"shape": [2, 2], "alphas": [{alphas}], "factors": [{factor}, {factor}]}}'
+    with pytest.raises(ValueError, match="alphas"):
+        loads_odeco(text)
 
 
 def test_odeco_round_trip(tmp_path):

@@ -381,8 +381,15 @@ class TestConjugateEstimate:
         # y = 0, the aligned certificate, then (20_000 - 2) // 5 Gaussian probes
         assert estimate.evaluations == 2 + 3_999
 
-    @pytest.mark.parametrize("params", PARAM_GRID_3)
-    def test_outside_dual_ball(self, params):
+    @pytest.mark.parametrize(
+        "params, target",
+        [pytest.param(p, 1e-3, id=f"params{i}") for i, p in enumerate(PARAM_GRID_3)]
+        + [
+            pytest.param(p, None, id=f"params{i}-no-target")
+            for i, p in enumerate(PARAM_GRID_3)
+        ],
+    )
+    def test_outside_dual_ball(self, params, target):
         rep = random_odeco((3, 3, 3), 3, 51)
         dense = to_dense(rep)
         duals = DualExponents.of(params)
@@ -391,10 +398,14 @@ class TestConjugateEstimate:
         )
         scaled = dense * (1.1 / ratio)
         estimate = estimate_tensor_conjugate(
-            scaled, params, budget=100_000, seed=0, target=1e-3
+            scaled, params, budget=100_000, seed=0, target=target
         )
         assert estimate.best_value >= 1e-3
         assert estimate.evaluations <= 100_000
+        if target is None:
+            # y = 0, the aligned certificate, (100_000 - 2) // 5 Gaussian
+            # probes and the rescaled maximizer
+            assert estimate.evaluations == 2 + 19_999 + 1
         # the reported value is actually attained by the returned maximizer
         attained = inner(scaled, estimate.maximizer) - schatten_norm(
             estimate.maximizer, params
@@ -489,8 +500,7 @@ def _pairing_extremal(diag, p):
         beta = np.zeros(diag.size)
         beta[int(np.argmax(np.abs(diag)))] = 1.0
         return beta * signs
-    beta = signs * (np.abs(diag) / np.max(np.abs(diag))) ** (holder_conjugate(p) - 1.0)
-    return beta / lp_norm(beta, p)
+    return signs * dual_vector_maximizer(np.abs(diag), holder_conjugate(p)).vector
 
 
 @settings(max_examples=80, deadline=None)
