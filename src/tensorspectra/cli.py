@@ -266,11 +266,19 @@ def _cmd_conjugate_check(args) -> int:
     estimate = estimate_tensor_conjugate(
         x, params, budget=args.budget, seed=args.seed
     )
+    # ratio <= 1 proves x inside the dual ball and a positive value (a
+    # certificate) proves it outside; otherwise it is unknown, because off
+    # odeco points the ratio only bounds the dual norm from above
+    inside = None
+    if ratio <= 1.0:
+        inside = True
+    elif estimate.best_value > 0.0:
+        inside = False
     payload = {
         "best_value": estimate.best_value,
         "evaluations": estimate.evaluations,
         "spectral_dual_ratio": ratio,
-        "inside_dual_ball": bool(ratio <= 1.0),
+        "inside_dual_ball": inside,
     }
     if estimate.best_value > 0.0:
         payload["certificate"] = {

@@ -464,7 +464,8 @@ class ConjugateEstimate:
 
     ``evaluations`` counts the candidates y whose objective was computed:
     y = 0, the aligned certificate, the Gaussian probes and the rescaled
-    maximizer, each phase only when it runs.
+    maximizer, each phase only when it runs. It is 1 when the spectral dual
+    ratio of x is at most 1, which proves y = 0 optimal.
     """
 
     best_value: float
@@ -482,8 +483,15 @@ def estimate_tensor_conjugate(
     """Lower estimate of sup_y <x, y> - N(y): a closed form plus probes.
 
     The supremum is 0 (attained at y = 0) exactly when x lies in the dual
-    unit ball of the norm, and +inf otherwise. Closed-form aligned
-    certificate: for y = diag(beta) x_1 U_1 ... x_D U_D on the HOSVD factors
+    unit ball of the norm, and +inf otherwise. Dual ratio: let ratio be the
+    mixed l_{p*}/l_{q*} norm of x's mode spectra over lam D, the ratio that
+    ``check_membership`` and ``conjugate-check`` report. The trace
+    inequality in each mode and Hölder give <x, y> - N(y) <= N(y) (ratio -
+    1) for every y, so when ratio <= 1 the estimate is exactly 0 after y = 0
+    alone, with no HOSVD and no probe. Off odeco points the ratio only
+    bounds the dual norm from above, so ratio > 1 decides nothing and the
+    phases below run. Closed-form aligned certificate: for
+    y = diag(beta) x_1 U_1 ... x_D U_D on the HOSVD factors
     U_d of x, N(y) = lam D^(1/q) ||beta||_p and <x, y> = <diag, beta>, with
     diag the diagonal of the HOSVD core of x. Over unit beta the objective's
     supremum is ||diag||_{p*} - lam D^(1/q) (Hölder), attained at beta*, the
@@ -505,6 +513,10 @@ def estimate_tensor_conjugate(
     best = 0.0
     best_y = np.zeros(dims)
     evals = 1  # y = 0
+
+    # <x, y> - N(y) <= N(y) (ratio - 1) for every y, so y = 0 is optimal
+    if _spectral_dual_ratio(x, params) <= 1.0:
+        return ConjugateEstimate(best_value=best, maximizer=best_y, evaluations=evals)
 
     def done() -> bool:
         return evals >= budget or (target is not None and best >= target)

@@ -14,9 +14,12 @@ from tensorspectra import (
     SchattenParams,
     all_mode_spectra,
     inner,
+    make_odeco,
     mixed_norm,
     nuclear_norm,
+    random_odeco,
     schatten_norm,
+    to_dense,
 )
 from tensorspectra.cli import run
 from tensorspectra.serialize import dump_tensor, load_dense, load_tensor
@@ -193,31 +196,59 @@ def test_gen_kind_validation(tmp_path):
     assert code == 1 and "rank" in payload["error"]
 
 
+def dual_ratio(x, params):
+    duals = DualExponents.of(params)
+    return mixed_norm(all_mode_spectra(x), duals.p_star, duals.q_star) / (
+        params.lam * x.ndim
+    )
+
+
 def test_conjugate_check(tmp_path):
     rep_path = tmp_path / "odeco.json"
     invoke(
         ["gen", "--kind", "odeco", "--shape", "3x3x3", "--rank", "2", "--seed", "4", "--out", str(rep_path)]
     )
-    x = load_dense(rep_path)
-    # the first case lies inside the dual ball, the second outside
-    for flags, params, inside in (
-        (["--p", "1", "--q", "1", "--lambda", "auto"], SchattenParams(1, 1, 1 / 3), True),
-        (["--p", "3", "--q", "2", "--lambda", "0.2"], SchattenParams(3, 2, 0.2), False),
+    gauss_path = tmp_path / "gaussian.json"
+    invoke(["gen", "--kind", "gaussian", "--shape", "3x4x5", "--seed", "1", "--out", str(gauss_path)])
+    near_params = SchattenParams(3, 2, 1)
+    gauss = load_dense(gauss_path)
+    near_path = tmp_path / "near.json"
+    dump_tensor(gauss * (1.2 / dual_ratio(gauss, near_params)), near_path)
+    # weights (1, 1, 1) at ratio 1.1: outside the dual ball, but the HOSVD
+    # frames of a flat spectrum miss the odeco frames, so nothing certifies it
+    nuclear = SchattenParams(1, 1, 1 / 3)
+    frames = random_odeco((3, 3, 3), 3, 7).factors
+    tied = to_dense(make_odeco([1.0, 1.0, 1.0], frames, (3, 3, 3)))
+    tied_path = tmp_path / "tied.json"
+    dump_tensor(tied * (1.1 / dual_ratio(tied, nuclear)), tied_path)
+    # inside the dual ball (proven by the ratio), outside (proven by a
+    # certificate), a Gaussian point at ratio 1.2 that the ratio does not
+    # decide and the probes do not certify, and the tied point: unknown
+    for path, flags, params, inside in (
+        (rep_path, ["--p", "1", "--q", "1", "--lambda", "auto"], nuclear, True),
+        (rep_path, ["--p", "3", "--q", "2", "--lambda", "0.2"], SchattenParams(3, 2, 0.2), False),
+        (near_path, ["--p", "3", "--q", "2", "--lambda", "1"], near_params, None),
+        (tied_path, ["--p", "1", "--q", "1", "--lambda", "auto"], nuclear, None),
     ):
+        x = load_dense(path)
         code, payload = invoke(
-            ["conjugate-check", *flags, "--in", str(rep_path), "--budget", "2000", "--seed", "0"]
+            ["conjugate-check", *flags, "--in", str(path), "--budget", "2000", "--seed", "0"]
         )
         assert code == 0
         assert payload["evaluations"] <= 2000
         assert ("certificate" in payload) == (payload["best_value"] > 0)
-        duals = DualExponents.of(params)
-        ratio = mixed_norm(all_mode_spectra(x), duals.p_star, duals.q_star) / (
-            params.lam * 3
-        )
+        ratio = dual_ratio(x, params)
         assert payload["spectral_dual_ratio"] == ratio
-        assert payload["inside_dual_ball"] == (ratio <= 1.0) == inside
-        assert ("certificate" in payload) == (not inside)
-        if not inside:
+        assert payload["inside_dual_ball"] is inside
+        assert (ratio <= 1.0) == (inside is True)
+        assert ("certificate" in payload) == (inside is False)
+        if inside is True:
+            assert payload["evaluations"] == 1
+        if inside is None:
+            # y = 0, the aligned certificate and (2000 - 2) // 5 probes
+            assert payload["best_value"] == 0.0
+            assert payload["evaluations"] == 2 + 399
+        if inside is False:
             y = np.array(payload["certificate"]["data"]).reshape(x.shape)
             attained = inner(x, y) - schatten_norm(y, params)
             assert attained == pytest.approx(payload["best_value"], rel=1e-9)

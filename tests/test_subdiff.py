@@ -2,10 +2,11 @@ import hashlib
 import math
 import tracemalloc
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tensorspectra import (
@@ -18,6 +19,7 @@ from tensorspectra import (
     estimate_tensor_conjugate,
     frobenius,
     holder_conjugate,
+    hosvd,
     inner,
     lp_norm,
     make_odeco,
@@ -35,6 +37,7 @@ from tensorspectra import (
     tuple_subgradient,
 )
 from tensorspectra import subdiff
+from tensorspectra.spectral import _mixed_norm, _schatten_norms
 from tensorspectra.verify import grid_best_pairing
 
 PARAM_GRID_3 = [
@@ -378,8 +381,8 @@ class TestConjugateEstimate:
             dense * (0.9 / ratio), params, budget=20_000, seed=0
         )
         assert estimate.best_value <= 1e-6
-        # y = 0, the aligned certificate, then (20_000 - 2) // 5 Gaussian probes
-        assert estimate.evaluations == 2 + 3_999
+        # y = 0 only: the spectral dual ratio, 0.9, proves the conjugate 0
+        assert estimate.evaluations == 1
 
     @pytest.mark.parametrize(
         "params, target",
@@ -517,7 +520,7 @@ def test_pairing_extremal_direction_is_never_beaten(n, p, seed):
     # Hölder: the supremum over unit-l_p beta is ||diag||_{p*}
     assert best == pytest.approx(lp_norm(diag, holder_conjugate(p)), rel=1e-12)
     betas = rng.standard_normal((2000, n))
-    betas /= np.array([lp_norm(b, p) for b in betas])[:, None]
+    betas /= _mixed_norm(betas[:, None, :], p, 1.0)[:, None]
     assert np.max(betas @ diag) <= best * (1.0 + 1e-12)
 
 
@@ -538,10 +541,14 @@ class TestConjugateCertificate:
 
     @pytest.mark.parametrize("params", PARAM_GRID_3)
     def test_aligned_value_is_the_closed_form(self, params):
-        # budget 2: y = 0 and the aligned certificate, nothing else
+        # budget 2: y = 0 and the aligned certificate, nothing else; inside
+        # the dual ball (params3) the dual ratio stops the estimator at y = 0
         rep = random_odeco((3, 4, 3), 3, 53)
         dense = 2.0 * to_dense(rep)
         estimate = estimate_tensor_conjugate(dense, params, budget=2)
+        if subdiff._spectral_dual_ratio(dense, params) <= 1.0:
+            assert (estimate.best_value, estimate.evaluations) == (0.0, 1)
+            return
         expected = lp_norm(2.0 * rep.alphas, holder_conjugate(params.p)) - params.lam * 3 ** (
             1.0 / params.q
         )
@@ -559,6 +566,57 @@ class TestConjugateCertificate:
         expected = lp_norm(scale * rep.alphas, holder_conjugate(params.p)) - params.lam * 3
         assert expected > 0.0
         assert estimate.best_value == pytest.approx(expected, rel=1e-12)
+
+
+_LOG_EXPONENT = st.floats(0.0, math.log(50.0)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    p=_LOG_EXPONENT,
+    q=_LOG_EXPONENT,
+    ratio=st.floats(0.25, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_ratio_at_most_one_proves_the_conjugate_zero(dims, p, q, ratio, seed):
+    # the trace inequality in every mode and Hölder give
+    # <x, y> - N(y) <= N(y) (ratio - 1) for every y
+    shape = tuple(dims)
+    params = SchattenParams(p, q, 1.0)
+    x = np.random.default_rng(seed).standard_normal(shape)
+    x *= ratio / subdiff._spectral_dual_ratio(x, params)
+    assume(subdiff._spectral_dual_ratio(x, params) <= 1.0)  # rounding at 1
+    estimate = estimate_tensor_conjugate(x, params, seed=seed)
+    assert (estimate.best_value, estimate.evaluations) == (0.0, 1)
+    assert estimate.maximizer.shape == shape and not estimate.maximizer.any()
+    # no probe beats y = 0 (pools streamed, so examples do not fill the cache) ...
+    with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
+        for stack, spectra in subdiff._probe_chunks(shape, seed, 200):
+            pairings = stack.reshape(len(stack), -1) @ x.ravel()
+            norms = _schatten_norms(spectra, params)
+            scale = np.maximum(1.0, np.maximum(np.abs(pairings), norms))
+            assert np.all(pairings - norms <= 1e-12 * scale)
+    # ... nor does the aligned certificate: ||diag||_{p*} <= ratio lam D^(1/q)
+    core = hosvd(x).core
+    diag = core[tuple(np.arange(min(shape)) for _ in shape)]
+    bound = params.lam * len(shape) ** (1.0 / q)
+    assert lp_norm(diag, holder_conjugate(p)) - bound <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("params", PARAM_GRID_3)
+def test_tied_weights_pin_a_missed_certificate(params):
+    # Weights (1, 1, 1) scaled to ratio 1.1 lie outside the dual ball, so the
+    # conjugate is +inf. Every mode spectrum is flat, so the HOSVD frames are
+    # not the odeco frames: the aligned certificate and all 19,999 probes
+    # miss. This pins the miss; a tie-aware certificate should turn it into
+    # a positive value.
+    frames = random_odeco((3, 3, 3), 3, 7).factors
+    dense = to_dense(make_odeco([1.0, 1.0, 1.0], frames, (3, 3, 3)))
+    x = dense * (1.1 / subdiff._spectral_dual_ratio(dense, params))
+    estimate = estimate_tensor_conjugate(x, params, target=1e-3)
+    assert (estimate.best_value, estimate.evaluations) == (0.0, 2 + 19_999)
+    assert not estimate.maximizer.any()
 
 
 def _cached_bytes():
@@ -594,14 +652,19 @@ class TestProbePool:
         params = SchattenParams(3, 2, 1)
         trials = 31 + self.COUNT  # the 31 specials, then COUNT probes
         out = [subgradient_inequality_test(dense, g, params, trials=trials, seed=5)]
-        # inside, outside, and outside with a target the probes reach
-        cases = [(0.5 * dense, None), (g, None), (g, 20.0)]
+        # a Gaussian x at spectral dual ratio 1.2, which the ratio does not
+        # decide and where no probe finds a positive value; outside; and
+        # outside with a target the probes reach
+        near = g * (1.2 / subdiff._spectral_dual_ratio(g, params))
+        cases = [(near, None), (g, None), (g, 20.0)]
         for x, target in cases:
             # y = 0 and the aligned certificate, then COUNT probes
             e = estimate_tensor_conjugate(
                 x, params, budget=2 + 5 * self.COUNT, seed=6, target=target
             )
             out.append((e.best_value, e.maximizer.tobytes(), e.evaluations))
+        # every probe of the first case was evaluated, and none was rescaled
+        assert out[1][0] == 0.0 and out[1][2] == 2 + self.COUNT
         return out
 
     @pytest.mark.parametrize("budget", [None, 0])
@@ -664,22 +727,26 @@ class TestProbePool:
         # chunk size: 1,000 and 10,000 probes peak alike
         monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 1 << 16)
         monkeypatch.setattr(subdiff, "_CHUNK_BYTES", 1 << 16)
-        rep = random_odeco(self.SHAPE, 3, 50)
         params = SchattenParams(2, 2, 1)
-        inside = 0.5 * to_dense(rep) / np.max(rep.alphas)
+        # a Gaussian x at spectral dual ratio 1.2, where every probe is
+        # evaluated
+        x = np.random.default_rng(0).standard_normal(self.SHAPE)
+        x *= 1.2 / subdiff._spectral_dual_ratio(x, params)
         already = tracemalloc.is_tracing()
         if not already:
             tracemalloc.start()
         peaks = []
         try:
-            for budget in (2 + 5 * 1_000, 2 + 5 * 10_000):
+            for probes in (1_000, 10_000):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 estimate = estimate_tensor_conjugate(
-                    inside, params, budget=budget, seed=0
+                    x, params, budget=2 + 5 * probes, seed=0
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
                 assert estimate.best_value == 0.0
+                # y = 0, the aligned certificate and every probe
+                assert estimate.evaluations == 2 + probes
         finally:
             if not already:
                 tracemalloc.stop()
