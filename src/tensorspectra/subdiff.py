@@ -329,41 +329,50 @@ _pool_lock = threading.Lock()
 def _make_room(nbytes: int) -> None:
     # evict least recently used pools until nbytes more fit; holds _pool_lock
     while _pool_cache and nbytes + sum(
-        a.nbytes + b.nbytes for a, b in _pool_cache.values()
+        a.nbytes + b.nbytes for pool in _pool_cache.values() for a, b in pool
     ) > _POOL_CACHE_BYTES:
         _pool_cache.popitem(last=False)
 
 
-def _chunk_bounds(count: int, size: int):
-    # chunks start at multiples of four probes and none but a whole one-probe
-    # pool holds a single probe. OpenBLAS's dgemv rounds rows in groups of
-    # four and numpy hands a one-row product to ddot, so every probe's pairing
-    # is then rounded exactly as in one single-threaded product over the
-    # whole pool
-    step = 4 * max(1, _CHUNK_BYTES // (32 * size))
-    start = 0
-    while start < count:
-        stop = count if count - start <= step + 1 else start + step
-        yield start, stop
-        start = stop
+def _pairings(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # <stack[i], v> for every i as a row-wise sum rather than a BLAS product,
+    # so each pairing is rounded the same way whatever the chunking or the
+    # BLAS thread count
+    return np.einsum("ij,j->i", stack.reshape(stack.shape[0], -1), v.ravel())
+
+
+def _drawn_chunks(shape: tuple[int, ...], seed: int, count: int):
+    # the pool's probes and their spectra, drawn in read-only chunks
+    rng = np.random.default_rng([seed, len(shape), *shape, count])
+    step = max(1, _CHUNK_BYTES // (8 * math.prod(shape)))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        stack = rng.standard_normal((stop - start,) + shape)
+        stack *= _PROBE_SCALES[np.arange(start, stop) % _PROBE_SCALES.size].reshape(
+            (stop - start,) + (1,) * len(shape)
+        )
+        spectra = _stacked_spectra(stack)
+        stack.flags.writeable = False
+        spectra.flags.writeable = False
+        yield stack, spectra
 
 
 def _probe_chunks(shape: tuple[int, ...], seed: int, count: int):
-    """The seeded Gaussian probe pool, as ``(stack, spectra)`` chunks.
+    """The seeded Gaussian probe pool, as read-only ``(stack, spectra)`` chunks.
 
     Probe i is the i-th draw of one Generator seeded by (seed, D, shape,
     count), times the scale ``_PROBE_SCALES[i % 7]``; ``spectra`` holds the
     stacked mode spectra of the chunk's probes. Sequential draws concatenate
     bit for bit, so no value depends on the chunking. A pool whose probes and
-    spectra fit ``_POOL_CACHE_BYTES`` is assembled once, after the least
-    recently used pools are evicted to make room, and is then served, read-only,
-    as a single chunk; a larger pool is streamed chunk by chunk on every call.
+    spectra fit ``_POOL_CACHE_BYTES`` is kept as its chunks, after the least
+    recently used pools are evicted to make room, and those chunks are
+    replayed on later calls; a larger pool is streamed chunk by chunk on
+    every call.
     """
     if count < 1:
         return
     key = (shape, seed, count)
-    size = math.prod(shape)
-    nbytes = 8 * count * (size + len(shape) * max(shape))
+    nbytes = 8 * count * (math.prod(shape) + len(shape) * max(shape))
     keep = nbytes <= _POOL_CACHE_BYTES
     with _pool_lock:
         pool = _pool_cache.get(key)
@@ -371,32 +380,14 @@ def _probe_chunks(shape: tuple[int, ...], seed: int, count: int):
             _pool_cache.move_to_end(key)
         elif keep:
             _make_room(nbytes)
-    if pool is not None:
-        yield pool
-        return
-    if keep:
-        stack = np.empty((count,) + shape)
-        spectra = np.empty((count, len(shape), max(shape)))
-    rng = np.random.default_rng([seed, len(shape), *shape, count])
-    for start, stop in _chunk_bounds(count, size):
-        chunk = rng.standard_normal(
-            (stop - start,) + shape, out=stack[start:stop] if keep else None
-        )
-        chunk *= _PROBE_SCALES[np.arange(start, stop) % _PROBE_SCALES.size].reshape(
-            (stop - start,) + (1,) * len(shape)
-        )
-        chunk_spectra = _stacked_spectra(chunk)
+    if pool is None:
+        pool = _drawn_chunks(shape, seed, count)
         if keep:
-            spectra[start:stop] = chunk_spectra
-        else:
-            yield chunk, chunk_spectra
-    if keep:
-        stack.flags.writeable = False
-        spectra.flags.writeable = False
-        with _pool_lock:
-            _make_room(nbytes)
-            _pool_cache[key] = (stack, spectra)
-        yield stack, spectra
+            pool = tuple(pool)
+            with _pool_lock:
+                _make_room(nbytes)
+                _pool_cache[key] = pool
+    yield from pool
 
 
 def subgradient_inequality_test(
@@ -411,7 +402,7 @@ def subgradient_inequality_test(
     of the norm at x. The Gaussian tensors are the probe pool of (shape,
     seed, count), drawn in chunks of a few MiB and reduced to a running
     minimum, so memory does not grow with ``trials``; pools up to 32 MiB are
-    cached whole and reused by later calls with the same key.
+    kept as chunks and reused by later calls with the same key.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -439,7 +430,7 @@ def subgradient_inequality_test(
     g_dot_x = inner(g, x)
 
     def slack(stack: np.ndarray, spectra: np.ndarray) -> float:
-        pairings = stack.reshape(stack.shape[0], -1) @ g.ravel()
+        pairings = _pairings(stack, g)
         norms = _schatten_norms(spectra, params)
         return float(np.min(norms - norm_x - (pairings - g_dot_x)))
 
@@ -499,8 +490,8 @@ def estimate_tensor_conjugate(
     probes at several scales, with exact norms, then act as an independent
     falsifier off the aligned directions: a fifth of the remaining budget,
     at most 20,000, scanned chunk by chunk with a running maximum, so memory
-    stays at one chunk whatever the count (pools up to 32 MiB are cached
-    whole for later calls with the same shape, seed and count). The
+    stays at one chunk whatever the count (pools up to 32 MiB are kept as
+    chunks for later calls with the same shape, seed and count). The
     objective is positively homogeneous, so a positive value proves the
     supremum infinite; it is rescaled into a comfortably positive
     certificate. The probes are skipped once ``target`` is reached.
@@ -545,11 +536,8 @@ def estimate_tensor_conjugate(
     # Gaussian probes with exact norms
     n_gauss = min((budget - evals) // 5, 20_000)
     if n_gauss > 0 and not done():
-        flat_x = x.ravel()
         for stack, spectra in _probe_chunks(dims, seed, n_gauss):
-            objective = stack.reshape(stack.shape[0], -1) @ flat_x - _schatten_norms(
-                spectra, params
-            )
+            objective = _pairings(stack, x) - _schatten_norms(spectra, params)
             # strict >, so the first of equal maxima wins as with one argmax
             k = int(np.argmax(objective))
             if objective[k] > best:

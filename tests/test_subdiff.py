@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -593,7 +597,7 @@ def test_dual_ratio_at_most_one_proves_the_conjugate_zero(dims, p, q, ratio, see
     # no probe beats y = 0 (pools streamed, so examples do not fill the cache) ...
     with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
         for stack, spectra in subdiff._probe_chunks(shape, seed, 200):
-            pairings = stack.reshape(len(stack), -1) @ x.ravel()
+            pairings = subdiff._pairings(stack, x)
             norms = _schatten_norms(spectra, params)
             scale = np.maximum(1.0, np.maximum(np.abs(pairings), norms))
             assert np.all(pairings - norms <= 1e-12 * scale)
@@ -620,7 +624,9 @@ def test_tied_weights_pin_a_missed_certificate(params):
 
 
 def _cached_bytes():
-    return sum(a.nbytes + b.nbytes for a, b in subdiff._pool_cache.values())
+    return sum(
+        a.nbytes + b.nbytes for pool in subdiff._pool_cache.values() for a, b in pool
+    )
 
 
 @pytest.fixture
@@ -628,13 +634,64 @@ def fresh_pool_cache(monkeypatch):
     monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
 
 
+# Prints the digest of every probe objective of one 4^3 pool, cached (drawn,
+# then replayed) and streamed, at 1, 7, the default number and all of its
+# probes per chunk, then both probe routines' results on that shape. The pool
+# is the one behind 10,000 trials of subgradient_inequality_test at 4^3 (31
+# specials, then 9,969 probes); OpenBLAS threads a matrix-vector product over
+# all of it, and at 1 and 2 threads rounds some of its rows differently.
+_THREAD_COUNT_SCRIPT = """
+import hashlib
+
+import numpy as np
+
+from tensorspectra import (
+    SchattenParams,
+    estimate_tensor_conjugate,
+    random_odeco,
+    subgradient_inequality_test,
+    to_dense,
+)
+from tensorspectra import subdiff
+from tensorspectra.spectral import _schatten_norms
+
+shape, seed, count = (4, 4, 4), 1, 9_969
+params = SchattenParams(3, 2, 1)
+g = 3.0 * np.random.default_rng(8).standard_normal(shape)
+
+
+def digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def objective():
+    return digest(np.concatenate([
+        subdiff._pairings(stack, g) - _schatten_norms(spectra, params)
+        for stack, spectra in subdiff._probe_chunks(shape, seed, count)
+    ]))
+
+
+chunk_bytes, cache_bytes = subdiff._CHUNK_BYTES, subdiff._POOL_CACHE_BYTES
+for probes in (1, 7, None, count):
+    subdiff._CHUNK_BYTES = chunk_bytes if probes is None else 8 * 64 * probes
+    subdiff._pool_cache.clear()
+    subdiff._POOL_CACHE_BYTES = cache_bytes
+    print(objective())
+    print(objective())
+    subdiff._POOL_CACHE_BYTES = 0
+    print(objective())
+subdiff._CHUNK_BYTES, subdiff._POOL_CACHE_BYTES = chunk_bytes, cache_bytes
+x = to_dense(random_odeco(shape, 4, 60))
+print(repr(subgradient_inequality_test(x, g, params, trials=10_000, seed=seed)))
+e = estimate_tensor_conjugate(g, params, budget=2 + 5 * count, seed=seed)
+print(repr(e.best_value), digest(e.maximizer), e.evaluations)
+"""
+
+
 class TestProbePool:
-    # 300 probes of 27 entries make 8,100 multiply-adds per pairing product,
-    # under OpenBLAS's threading threshold of 9,216, so the unchunked
-    # reference product runs on one thread whatever the BLAS thread count
     SHAPE = (3, 3, 3)
     COUNT = 300
-    # probes per chunk asked for; chunks are rounded to groups of four probes
+    # probes per chunk; None keeps the default
     CHUNKS = [1, 7, 28, None, 10**9]
 
     def _set_chunk(self, monkeypatch, probes):
@@ -692,9 +749,6 @@ class TestProbePool:
         monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 0)
         chunks = list(subdiff._probe_chunks(self.SHAPE, 3, count))
         assert not subdiff._pool_cache
-        sizes = [len(stack) for stack, _ in chunks]
-        assert all(size % 4 == 0 for size in sizes[:-1])
-        assert sizes[-1] > 1 or count == 1
         assert np.array_equal(np.concatenate([c[0] for c in chunks]), pool[0])
         assert np.array_equal(np.concatenate([c[1] for c in chunks]), pool[1])
 
@@ -719,6 +773,29 @@ class TestProbePool:
         for count in (100, 101, 100, 102):  # the third call is a hit
             list(subdiff._probe_chunks(self.SHAPE, 0, count))
         assert list(subdiff._pool_cache) == [(self.SHAPE, 0, 100), (self.SHAPE, 0, 102)]
+
+    def test_probe_values_do_not_depend_on_the_blas_thread_count(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _THREAD_COUNT_SCRIPT],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads)),
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for threads in (1, 2)
+        ]
+        try:
+            outputs = [run.communicate(timeout=300)[0] for run in runs]
+        finally:
+            for run in runs:
+                run.kill()
+        assert [run.returncode for run in runs] == [0, 0]
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert len(lines) == 4 * 3 + 2
+        assert len(set(lines[:12])) == 1
 
     def test_estimator_memory_does_not_grow_with_its_budget(
         self, fresh_pool_cache, monkeypatch
