@@ -243,7 +243,7 @@ def _cmd_vn_check(args) -> int:
     if args.frames is not None:
         with open(args.frames, encoding="utf-8") as handle:
             frames = serialize.loads_matrices(handle.read())
-        structure = _equality_structure(x, y, frames, tol=args.tol)
+        structure = _equality_structure(x, y, frames, args.tol, report)
         payload["structure"] = {
             "verified": structure.verified,
             "blocks": [

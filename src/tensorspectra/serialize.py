@@ -8,11 +8,12 @@ fastest). Parse errors name the offending field.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .odeco import OdecoRep, make_odeco
+from .odeco import OdecoRep, make_odeco, to_dense
 from .spectral import Hosvd
 from .tensor import as_tensor
 
@@ -34,7 +35,7 @@ __all__ = [
 
 def _fmt_float(value: float) -> str:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         return "null"
     return format(value, ".17g")
 
@@ -138,7 +139,10 @@ def dumps_odeco(rep: OdecoRep) -> str:
 
 
 def loads_odeco(text: str) -> OdecoRep:
-    doc = _loads_json(text)
+    return _odeco_from_doc(_loads_json(text))
+
+
+def _odeco_from_doc(doc) -> OdecoRep:
     context = "odeco document"
     shape = _parse_shape(_require_field(doc, "shape", context), context)
     alphas = _number_list(_require_field(doc, "alphas", context), "alphas", context)
@@ -184,13 +188,10 @@ def loads_hosvd(text: str) -> Hosvd:
 
 def load_dense(path) -> np.ndarray:
     """Load a tensor document; odeco documents are densified transparently."""
-    from .odeco import to_dense
-
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    doc = _loads_json(text)
+        doc = _loads_json(handle.read())
     if isinstance(doc, dict) and "alphas" in doc:
-        return to_dense(loads_odeco(text))
+        return to_dense(_odeco_from_doc(doc))
     return _tensor_from_doc(doc, "tensor document")
 
 

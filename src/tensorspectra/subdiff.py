@@ -262,8 +262,8 @@ class MembershipCertificate:
 
     ``notes`` records each condition: per-mode trace-inequality equality,
     the pairing identity and the dual-norm bound, plus whether a rejection
-    could be conservative (only the dual bound failed, which upper-bounds
-    the true dual norm on non-aligned candidates).
+    could be conservative because only the dual bound failed. That flag
+    understates the doubt: only a failed pairing makes a rejection final.
     """
 
     vn_gaps: np.ndarray
@@ -281,7 +281,9 @@ def check_membership(
     Conditions: (i) equality in every per-mode trace inequality, (ii)
     <x, y> = N(x) up to tol * max(1, ||x|| ||y||), (iii) mixed conjugate
     norm of y's spectra at most lam * D * (1 + tol). Acceptance requires all
-    three jointly.
+    three. Only (ii) is necessary, and (ii) with (iii) is sufficient, since
+    (iii) bounds y's dual norm from above: an acceptance is a proof, and a
+    rejection with (ii) holding is not final.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -94,20 +94,12 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     )
 
 
-def _find(parent: list[int], i: int) -> int:
-    root = i
-    while parent[root] != root:
-        root = parent[root]
-    while parent[i] != root:
-        parent[i], i = root, parent[i]
-    return root
-
-
 def find_block_partition(cx, cy, tol: float = 1e-10) -> BlockPartition:
     """Finest common block partition of two aligned core tensors.
 
     Every entry of either input above tol times that input's Frobenius norm
-    links its D index coordinates; connected components become blocks.
+    links its mode-1 index to each of its other indices; connected
+    components become blocks, ordered by their smallest mode-1 index.
     Indices touching no above-threshold entry are gathered into one shared
     residual block (zero block for both inputs).
     """
@@ -116,35 +108,42 @@ def find_block_partition(cx, cy, tol: float = 1e-10) -> BlockPartition:
     if cx.shape != cy.shape:
         raise ValueError(f"shape: operands differ, {cx.shape} vs {cy.shape}")
     dims = cx.shape
-    ndim = len(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)])[:-1]
 
     mask = (np.abs(cx) > tol * frobenius(cx)) | (np.abs(cy) > tol * frobenius(cy))
-    parent = list(range(int(sum(dims))))
-    touched = [np.zeros(n, dtype=bool) for n in dims]
-    for entry in np.argwhere(mask):
-        nodes = [int(offsets[d] + entry[d]) for d in range(ndim)]
-        for d in range(ndim):
-            touched[d][entry[d]] = True
-        for node in nodes[1:]:
-            ra, rb = _find(parent, nodes[0]), _find(parent, node)
-            if ra != rb:
-                parent[rb] = ra
+    # links[d - 1][i, k]: some entry has mode-1 index i and mode-(d+1) index k.
+    # A boolean product with ones is that "any" over the other modes; numpy's
+    # own reduction is slow when the last mode is short.
+    links = []
+    for d in range(1, len(dims)):
+        rest = np.moveaxis(mask, d, 1).reshape(dims[0], dims[d], -1)
+        links.append(rest @ np.ones(rest.shape[2], dtype=bool))
 
-    groups: dict[int, list[list[int]]] = {}
-    for d in range(ndim):
-        for i in range(dims[d]):
-            if not touched[d][i]:
-                continue
-            root = _find(parent, int(offsets[d] + i))
-            groups.setdefault(root, [[] for _ in range(ndim)])[d].append(i + 1)
+    # label each mode-1 index with the smallest mode-1 index of its component:
+    # min-propagation through the links plus pointer jumping, until stable
+    n1 = dims[0]
+    root = np.arange(n1)
+    while True:
+        new = root
+        for link in links:
+            shared = np.where(link, new[:, None], n1).min(axis=0)
+            new = np.minimum(new, np.where(link, shared, n1).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, root):
+            break
+        root = new
+    # a mode-d index takes the label of its linked mode-1 indices; untouched
+    # indices take n1, the label of the residual block
+    labels = [np.where(links[0].any(axis=1) if links else mask, root, n1)]
+    labels += [np.where(link, root[:, None], n1).min(axis=0) for link in links]
 
-    blocks = sorted(groups.values(), key=lambda per_mode: min(per_mode[0]))
-    residual = [
-        [i + 1 for i in range(dims[d]) if not touched[d][i]] for d in range(ndim)
-    ]
-    if any(residual):
-        blocks.append(residual)
+    heads = np.flatnonzero(labels[0] == np.arange(n1)).tolist() + [n1]
+    block_of = {head: b for b, head in enumerate(heads)}
+    blocks = [[[] for _ in dims] for _ in heads]
+    for d, per_index in enumerate(labels):
+        for i, head in enumerate(per_index.tolist()):
+            blocks[block_of[head]][d].append(i + 1)
+    if not any(blocks[-1]):
+        blocks.pop()
     return BlockPartition(
         blocks=tuple(tuple(tuple(ids) for ids in per_mode) for per_mode in blocks)
     )
@@ -185,28 +184,17 @@ def verify_equality_structure(
         raise ValueError(f"shape: operands differ, {cx.shape} vs {cy.shape}")
     _check_partition(partition, cx.shape)
 
+    norm_x = max(1.0, frobenius(cx))
+    norm_y = max(1.0, frobenius(cy))
     inside = np.zeros(cx.shape, dtype=bool)
-    grids = []
-    for per_mode in partition.blocks:
+    constants = np.zeros(partition.n_blocks)
+    ok = True
+    for b, per_mode in enumerate(partition.blocks):
         idx = tuple(np.asarray(ids, dtype=int) - 1 for ids in per_mode)
         if any(axis.size == 0 for axis in idx):
-            grids.append(None)
             continue
         grid = np.ix_(*idx)
         inside[grid] = True
-        grids.append(grid)
-
-    norm_x = max(1.0, frobenius(cx))
-    norm_y = max(1.0, frobenius(cy))
-    ok = bool(
-        np.linalg.norm(cx[~inside]) <= tol * norm_x
-        and np.linalg.norm(cy[~inside]) <= tol * norm_y
-    )
-
-    constants = np.zeros(partition.n_blocks)
-    for b, grid in enumerate(grids):
-        if grid is None:
-            continue
         a = cx[grid].ravel()
         c = cy[grid].ravel()
         na, nc = np.linalg.norm(a), np.linalg.norm(c)
@@ -218,14 +206,17 @@ def verify_equality_structure(
         elif nc > tol * norm_y:
             # cx vanishes on the block: 0 = 0 * cy holds, no finite x-based ratio
             constants[b] = np.nan
-        else:
-            constants[b] = 0.0
+    ok = bool(
+        ok
+        and np.linalg.norm(cx[~inside]) <= tol * norm_x
+        and np.linalg.norm(cy[~inside]) <= tol * norm_y
+    )
     return ok, constants
 
 
-def _equality_structure(x, y, shared_factors, tol: float) -> EqualityStructure:
-    # one rotation, partition and proportionality pass; see
-    # check_equality_via_structure
+def _equality_structure(x, y, shared_factors, tol: float, report) -> EqualityStructure:
+    # one rotation, partition and proportionality pass, cross-checked against
+    # the caller's vn_report(x, y, tol); see check_equality_via_structure
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     frames = [np.asarray(w, dtype=float) for w in shared_factors]
@@ -242,7 +233,7 @@ def _equality_structure(x, y, shared_factors, tol: float) -> EqualityStructure:
     cy = multi_mode_mul(y, transposed)
     partition = find_block_partition(cx, cy, tol)
     ok, constants = verify_equality_structure(cx, cy, partition, tol)
-    if ok and not vn_report(x, y, tol).equality:
+    if ok and not report.equality:
         raise ArithmeticError(
             "structure verified but per-mode gaps exceed tolerance; "
             "inputs are inconsistent with the claimed frames"
@@ -258,4 +249,4 @@ def check_equality_via_structure(x, y, shared_factors, tol: float = 1e-10) -> bo
     verified. A positive answer is cross-checked against the per-mode gap
     report; an inconsistency between the two raises.
     """
-    return _equality_structure(x, y, shared_factors, tol).verified
+    return _equality_structure(x, y, shared_factors, tol, vn_report(x, y, tol)).verified

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -96,23 +97,53 @@ def test_vn_check_frames_runs_one_structure_pass(tmp_path, monkeypatch):
     frames_path.write_text(
         "[" + ",".join(dumps_tensor(u) for u in hosvd(x).factors) + "]", encoding="utf-8"
     )
-    calls = []
-    original = vonneumann.find_block_partition
+    calls = {"find_block_partition": 0, "vn_report": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(vonneumann, name)
 
-    for module in (vonneumann, cli):
-        monkeypatch.setattr(module, "find_block_partition", counted, raising=False)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        counted = counting(name)
+        for module in (vonneumann, cli):
+            monkeypatch.setattr(module, name, counted, raising=False)
     code, payload = invoke(
         ["vn-check", "--x", str(x_path), "--y", str(y_path), "--frames", str(frames_path)]
     )
     assert code == 0
-    assert len(calls) == 1
+    assert calls == {"find_block_partition": 1, "vn_report": 1}
     structure = payload["structure"]
     assert structure["verified"] is structure["proportional"] is True
     assert structure["constants"] == pytest.approx([2.0])
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("gaussian", "41a4369637053f3212dd560e00b12262176761c81fa526fba76fd9b9432baa89"),
+        ("odeco", "81bdddb365897df4f71225d5da6c4b0acad0b91635ef086f8823bffc2a2c8f0a"),
+    ],
+)
+def test_vn_check_frames_stdout_is_pinned(tmp_path, kind, digest):
+    # x from gen at 6^3 (one dense block, or six diagonal ones), y = 2x and
+    # the frames of x's HOSVD
+    x_path, y_path, frames_path = (tmp_path / n for n in ("x.json", "y.json", "f.json"))
+    assert invoke(["gen", "--kind", kind, "--shape", "6x6x6", "--out", str(x_path)])[0] == 0
+    dump_tensor(2.0 * load_dense(x_path), y_path)
+    _, decomposition = invoke(["hosvd", "--in", str(x_path)])
+    frames_path.write_text(json.dumps(decomposition["factors"]), encoding="utf-8")
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = run(
+            ["vn-check", "--x", str(x_path), "--y", str(y_path), "--frames", str(frames_path)]
+        )
+    assert code == 0
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
 
 
 def test_subgrad_pipeline(tmp_path):

@@ -104,13 +104,31 @@ def test_hosvd_round_trip():
         loads_hosvd('{"core": {"shape": [2, 2], "data": [1, 0, 0, 1]}, "factors": []}')
 
 
-def test_load_dense_densifies_odeco(tmp_path):
-    from tensorspectra import to_dense
+def test_load_dense_densifies_odeco(tmp_path, monkeypatch):
+    from tensorspectra import serialize, to_dense
 
     rep = random_odeco((3, 3, 3), 2, 4)
     path = tmp_path / "rep.json"
     dump_odeco(rep, path)
+    decoded = []
+    original = serialize._loads_json
+
+    def counted(text):
+        decoded.append(text)
+        return original(text)
+
+    monkeypatch.setattr(serialize, "_loads_json", counted)
     assert np.allclose(load_dense(path), to_dense(rep), atol=1e-15)
+    assert len(decoded) == 1
+
+
+def test_non_finite_and_negative_zero_spellings():
+    # dumps_tensor takes finite entries only, so the null spelling is pinned
+    # through dumps_json, which shares the number formatter
+    assert dumps_tensor(np.array([[-0.0, 0.0]])) == '{"shape": [1, 2], "data": [-0, 0]}'
+    assert dumps_json([np.nan, np.inf, -np.inf, -0.0]) == "[null, null, null, -0]"
+    with pytest.raises(ValueError, match="finite"):
+        dumps_tensor(np.array([[np.nan, 1.0]]))
 
 
 def test_loads_matrices():

@@ -279,6 +279,19 @@ class TestSymmetry:
         assert np.max(np.abs(symmetrize(once) - once)) <= 1e-14
         assert is_symmetric(once)
 
+    def test_every_adjacent_transposition_is_checked(self):
+        # a (x) a (x) b is invariant under swapping modes 1 and 2 only
+        a, b = np.array([1.0, 2.0]), np.array([2.0, -1.0])
+        x = outer([a, a, b])
+        assert np.array_equal(np.swapaxes(x, 0, 1), x)
+        assert not is_symmetric(x)
+        assert not is_symmetric(np.transpose(x, (2, 0, 1)))
+
+    def test_symmetrized_six_mode_tensor_accepted(self):
+        x = np.random.default_rng(12).standard_normal((2,) * 6)
+        assert not is_symmetric(x)
+        assert is_symmetric(symmetrize(x))
+
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError, match="cubic"):
             is_symmetric(np.ones((2, 3)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorspectra import (
     BlockPartition,
@@ -107,6 +109,46 @@ class TestBlockPartition:
         assert partition.blocks[0] == ((1, 2), (1, 2), (1, 2))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    ndim=st.integers(2, 4),
+    # per block: a mode-1 size up to 6 (tall blocks), then up to 2 per mode
+    sizes=st.lists(
+        st.tuples(st.integers(1, 6), *[st.integers(1, 2)] * 3), min_size=1, max_size=3
+    ),
+    spare=st.tuples(*[st.integers(0, 2)] * 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planted_blocks_are_recovered(ndim, sizes, spare, seed):
+    # each block's indices are a random subset of every mode; its entries are
+    # a hub row (its first mode-1 index against every other index), a hub
+    # column (every mode-1 index against the first other indices) and random
+    # extras, so some of its indices are joined only through a chain of links
+    rng = np.random.default_rng(seed)
+    sizes = [s[:ndim] for s in sizes]
+    dims = tuple(sum(s[d] for s in sizes) + spare[d] for d in range(ndim))
+    order = [rng.permutation(n) for n in dims]
+    core = np.zeros(dims)
+    planted = []
+    start = np.zeros(ndim, dtype=int)
+    for s in sizes:
+        ids = [order[d][start[d] : start[d] + s[d]] for d in range(ndim)]
+        start += s
+        support = rng.random(s) < 0.3
+        support[(0,) + (slice(None),) * (ndim - 1)] = True
+        support[(slice(None),) + (0,) * (ndim - 1)] = True
+        values = rng.uniform(1.0, 2.0, s) * rng.choice([-1.0, 1.0], s)
+        core[np.ix_(*ids)] = np.where(support, values, 0.0)
+        planted.append(tuple(tuple(sorted(int(i) + 1 for i in v)) for v in ids))
+    planted.sort(key=lambda block: block[0][0])
+    residual = tuple(
+        tuple(sorted(int(i) + 1 for i in order[d][start[d] :])) for d in range(ndim)
+    )
+    if any(residual):
+        planted.append(residual)
+    assert find_block_partition(core, 0.5 * core) == BlockPartition(tuple(planted))
+
+
 class TestStructure:
     def test_global_proportionality(self):
         rng = np.random.default_rng(2)
@@ -194,7 +236,7 @@ class TestEqualityViaStructure:
         rep_y = make_odeco([5.0, 0.25], rep_x.factors)
         x, y = to_dense(rep_x), to_dense(rep_y)
         frames = [complete_orthonormal(f) for f in rep_x.factors]
-        result = _equality_structure(x, y, frames, 1e-8)
+        result = _equality_structure(x, y, frames, 1e-8, vn_report(x, y, 1e-8))
         assert isinstance(result, EqualityStructure)
         cx = multi_mode_mul(x, [w.T for w in frames])
         cy = multi_mode_mul(y, [w.T for w in frames])
@@ -205,3 +247,17 @@ class TestEqualityViaStructure:
         assert np.array_equal(result.constants, constants)
         with pytest.raises(AttributeError):
             result.verified = False
+
+    def test_report_disagreeing_with_a_verified_structure_raises(self):
+        from dataclasses import replace
+
+        from tensorspectra.vonneumann import _equality_structure
+
+        rep_x = random_odeco((3, 3, 3), 2, 4)
+        rep_y = make_odeco([5.0, 0.25], rep_x.factors)
+        x, y = to_dense(rep_x), to_dense(rep_y)
+        frames = [complete_orthonormal(f) for f in rep_x.factors]
+        report = vn_report(x, y, 1e-8)
+        assert _equality_structure(x, y, frames, 1e-8, report).verified
+        with pytest.raises(ArithmeticError, match="inconsistent"):
+            _equality_structure(x, y, frames, 1e-8, replace(report, equality=False))
