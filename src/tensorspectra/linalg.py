@@ -101,18 +101,27 @@ def is_orthogonal(mat, tol: float = 1e-12) -> bool:
     return float(np.linalg.norm(m @ m.T - np.eye(m.shape[0]))) <= tol
 
 
+def _random_orthogonals(n: int, seeds) -> np.ndarray:
+    # one Haar draw per seed, stacked (len(seeds), n, n): a batched QR of the
+    # stacked Gaussian samples with the signs of diag(R) folded into Q
+    if n < 1:
+        raise ValueError("n: matrix size must be positive")
+    q, r = np.linalg.qr(
+        np.stack([np.random.default_rng(s).standard_normal((n, n)) for s in seeds])
+    )
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(d == 0.0, 1.0, np.sign(d))[:, None, :]
+
+
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
     """Seeded rotation-invariant random orthogonal matrix.
 
     QR of a Gaussian sample with the sign of diag(R) folded into Q, which
-    makes the draw both Haar-distributed and deterministic per seed.
+    makes the draw both Haar-distributed and deterministic per seed. It is
+    one slice of the batched sampler that draws many seeds with one QR, and
+    equals that slice bit for bit.
     """
-    if n < 1:
-        raise ValueError("n: matrix size must be positive")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.diag(r)
-    return q * np.where(d == 0.0, 1.0, np.sign(d))
+    return _random_orthogonals(n, [seed])[0]
 
 
 def complete_orthonormal(u, tol: float = 1e-10) -> np.ndarray:

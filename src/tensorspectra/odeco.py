@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complete_orthonormal, random_orthogonal
+from .linalg import _random_orthogonals, complete_orthonormal, random_orthogonal
 from .spectral import Hosvd
 
 __all__ = [
@@ -123,7 +123,8 @@ def random_odeco(shape, r: int, seed: int) -> OdecoRep:
     """Seeded random odeco representation.
 
     Weights are sorted absolute Gaussians offset by 0.1; factor columns are
-    the first ``r`` columns of independent seeded random orthogonal matrices.
+    the first ``r`` columns of independent seeded random orthogonal matrices,
+    drawn with one batched QR per distinct mode size.
     """
     dims = tuple(int(n) for n in shape)
     if len(dims) < 2:
@@ -132,10 +133,13 @@ def random_odeco(shape, r: int, seed: int) -> OdecoRep:
         raise ValueError(f"rank: expected 1 <= r <= {min(dims)}, got {r}")
     rng = np.random.default_rng(seed)
     alphas = np.sort(np.abs(rng.standard_normal(r)))[::-1] + 0.1
-    factors = []
-    for n in dims:
-        sub = int(rng.integers(0, 2**63 - 1))
-        factors.append(random_orthogonal(n, sub)[:, :r])
+    subs = [int(rng.integers(0, 2**63 - 1)) for _ in dims]
+    # one batched draw per distinct mode size, in mode order within each size
+    frames = {
+        n: iter(_random_orthogonals(n, [s for m, s in zip(dims, subs) if m == n]))
+        for n in dict.fromkeys(dims)
+    }
+    factors = [next(frames[n])[:, :r] for n in dims]
     return make_odeco(alphas, factors, dims)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import random_orthogonal
+from .linalg import _random_orthogonals
 from .odeco import OdecoRep, random_odeco, to_dense
 from .spectral import (
     SchattenParams,
@@ -29,7 +29,7 @@ from .spectral import (
     hosvd,
     schatten_norm,
 )
-from .tensor import frobenius, inner, multi_mode_mul, symmetrize
+from .tensor import _symmetrize_stack, frobenius, inner, multi_mode_mul
 from .vonneumann import vn_report
 
 __all__ = [
@@ -392,6 +392,21 @@ def _probe_chunks(shape: tuple[int, ...], seed: int, count: int):
     yield from pool
 
 
+_SPECIAL_SCALES = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
+
+
+def _rotated_copies(x: np.ndarray, frames) -> np.ndarray:
+    # the stack whose k-th tensor is multi_mode_mul(x, [f[k] for f in frames])
+    # bit for bit: each mode is one matmul of the (k, n, n) frame stack with
+    # the mode axis moved forward, the same product that tensordot forms
+    out = np.broadcast_to(x, (len(frames[0]),) + x.shape)
+    for axis, f in enumerate(frames, start=1):
+        moved = np.moveaxis(out, axis, 1)
+        product = f @ moved.reshape(moved.shape[:2] + (-1,))
+        out = np.moveaxis(product.reshape(moved.shape), 1, axis)
+    return out
+
+
 def subgradient_inequality_test(
     x, g, params: SchattenParams, trials: int = 10_000, seed: int = 0
 ) -> float:
@@ -401,7 +416,11 @@ def subgradient_inequality_test(
     under random orthogonal frames, symmetric and odeco specials, and fills
     the remaining trials with Gaussian tensors at several scales. The
     minimum is nonnegative up to roundoff exactly when g is a subgradient
-    of the norm at x. The Gaussian tensors are the probe pool of (shape,
+    of the norm at x. The rotated and symmetric specials are drawn as
+    stacks: one batched QR per mode for the 8 frames, one Gaussian draw for
+    the 8 symmetric tensors. Each special equals, bit for bit, its per-seed
+    construction with ``random_orthogonal``, ``multi_mode_mul`` and
+    ``symmetrize``. The Gaussian tensors are the probe pool of (shape,
     seed, count), drawn in chunks of a few MiB and reduced to a running
     minimum, so memory does not grow with ``trials``; pools up to 32 MiB are
     kept as chunks and reused by later calls with the same key.
@@ -415,18 +434,24 @@ def subgradient_inequality_test(
     dims = x.shape
     rng = np.random.default_rng([seed, 104729])
 
-    specials: list[np.ndarray] = [c * x for c in (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)]
-    for _ in range(8):
-        frames = [random_orthogonal(n, int(rng.integers(2**63 - 1))) for n in dims]
-        specials.append(multi_mode_mul(x, frames))
-    if len(set(dims)) == 1:
-        for _ in range(8):
-            specials.append(symmetrize(rng.standard_normal(dims)))
-    for _ in range(8):
-        specials.append(
-            to_dense(random_odeco(dims, min(dims), int(rng.integers(2**63 - 1))))
+    specials = [np.multiply.outer(_SPECIAL_SCALES, x)]
+    seeds = [[int(rng.integers(2**63 - 1)) for _ in dims] for _ in range(8)]
+    specials.append(
+        _rotated_copies(
+            x, [_random_orthogonals(n, mode) for n, mode in zip(dims, zip(*seeds))]
         )
-    stack = np.stack(specials[:trials])
+    )
+    if len(set(dims)) == 1:
+        specials.append(_symmetrize_stack(rng.standard_normal((8,) + dims)))
+    specials.append(
+        np.stack(
+            [
+                to_dense(random_odeco(dims, min(dims), int(rng.integers(2**63 - 1))))
+                for _ in range(8)
+            ]
+        )
+    )
+    stack = np.concatenate(specials)[:trials]
 
     norm_x = schatten_norm(x, params)
     g_dot_x = inner(g, x)

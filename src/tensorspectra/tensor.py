@@ -216,11 +216,21 @@ def is_symmetric(x, tol: float = 1e-10) -> bool:
     )
 
 
+def _symmetrize_stack(stack: np.ndarray) -> np.ndarray:
+    """Symmetrize each tensor of a stack ``(k, n, ..., n)`` over its indices.
+
+    Slice i of the result is ``symmetrize(stack[i])`` bit for bit: the
+    permuted copies are summed in the same order.
+    """
+    ndim = stack.ndim - 1
+    acc = np.zeros_like(stack)
+    for perm in permutations(range(1, ndim + 1)):
+        acc += np.transpose(stack, (0,) + perm)
+    return acc / factorial(ndim)
+
+
 def symmetrize(x) -> np.ndarray:
     """Average of ``x`` over all permutations of its indices (idempotent)."""
     x = np.asarray(x, dtype=float)
     _require_cubic(x)
-    acc = np.zeros_like(x)
-    for perm in permutations(range(x.ndim)):
-        acc += np.transpose(x, perm)
-    return acc / factorial(x.ndim)
+    return _symmetrize_stack(x[None])[0]

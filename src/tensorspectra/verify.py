@@ -41,7 +41,7 @@ from .tensor import (
     symmetrize,
     tensorize,
 )
-from .vonneumann import check_equality_via_structure, vn_report
+from .vonneumann import _equality_structure, vn_report
 
 __all__ = ["SuiteResult", "SUITES", "run_all", "grid_best_pairing"]
 
@@ -247,8 +247,8 @@ def suite_vonneumann(seed: int) -> SuiteResult:
         x = to_dense(rep_x)
         y = to_dense(rep_y)
         frames = [complete_orthonormal(f) for f in rep_x.factors]
-        structural = check_equality_via_structure(x, y, frames, tol=1e-8)
         report = vn_report(x, y, tol=1e-8)
+        structural = _equality_structure(x, y, frames, 1e-8, report).verified
         result.check(
             structural and report.equality,
             f"shared-frame pair not recognized (n={n}, D={ndim}, r={r})",

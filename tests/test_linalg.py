@@ -8,6 +8,7 @@ from tensorspectra import (
     singular_values,
     svd,
 )
+from tensorspectra.linalg import _random_orthogonals
 
 
 def test_svd_diagonal():
@@ -104,6 +105,25 @@ def test_random_orthogonal():
         assert is_orthogonal(q, 1e-12)
     assert np.array_equal(random_orthogonal(3, 7), random_orthogonal(3, 7))
     assert not np.array_equal(random_orthogonal(3, 7), random_orthogonal(3, 8))
+    with pytest.raises(ValueError, match="positive"):
+        random_orthogonal(0, 0)
+
+
+def _haar_reference(n, seed):
+    # the per-seed construction: one 2-D QR with the sign of diag(R) folded in
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    d = np.diag(r)
+    return q * np.where(d == 0.0, 1.0, np.sign(d))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_orthogonals_equal_per_seed_qr(n):
+    seeds = [3, 0, 2**63 - 2, 41, 41, 7]
+    stack = _random_orthogonals(n, seeds)
+    assert stack.shape == (len(seeds), n, n)
+    for k, seed in enumerate(seeds):
+        assert np.array_equal(stack[k], _haar_reference(n, seed))
+        assert np.array_equal(random_orthogonal(n, seed), stack[k])
 
 
 def test_complete_orthonormal():

@@ -113,6 +113,23 @@ def test_random_odeco_deterministic():
         random_odeco((3, 3, 3), 4, 0)
 
 
+@pytest.mark.parametrize("dims", [(3, 4, 3), (2, 3, 4, 2)])
+def test_random_odeco_equals_per_mode_draws(dims):
+    # reference: one sub-seed per mode in mode order, each its own 2-D QR
+    for seed in range(5):
+        r = 1 + seed % min(dims)
+        rng = np.random.default_rng(seed)
+        alphas = np.sort(np.abs(rng.standard_normal(r)))[::-1] + 0.1
+        rep = random_odeco(dims, r, seed)
+        assert np.array_equal(rep.alphas, alphas)
+        for n, factor in zip(dims, rep.factors):
+            sub = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+            q, rr = np.linalg.qr(sub.standard_normal((n, n)))
+            d = np.diag(rr)
+            haar = q * np.where(d == 0.0, 1.0, np.sign(d))
+            assert np.array_equal(factor, haar[:, :r])
+
+
 def test_random_symmetric_odeco():
     rep = random_symmetric_odeco(3, 3, 2, 5)
     assert all(np.array_equal(f, rep.factors[0]) for f in rep.factors)

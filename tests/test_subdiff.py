@@ -40,8 +40,9 @@ from tensorspectra import (
     tuple_membership,
     tuple_subgradient,
 )
-from tensorspectra import subdiff
-from tensorspectra.spectral import _mixed_norm, _schatten_norms
+from tensorspectra import multi_mode_mul, random_orthogonal, subdiff, symmetrize
+from tensorspectra.linalg import _random_orthogonals
+from tensorspectra.spectral import _mixed_norm, _schatten_norms, _stacked_spectra
 from tensorspectra.verify import grid_best_pairing
 
 PARAM_GRID_3 = [
@@ -308,6 +309,59 @@ class TestSamplingOracle:
             np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), params, trials=200, seed=0
         )
         assert slack >= -1e-12
+
+
+def _per_seed_specials(x, seed):
+    # the special candidates built one at a time, each from its own seeded
+    # random_orthogonal, multi_mode_mul, symmetrize and random_odeco call
+    dims = x.shape
+    rng = np.random.default_rng([seed, 104729])
+    specials = [c * x for c in (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)]
+    for _ in range(8):
+        frames = [random_orthogonal(n, int(rng.integers(2**63 - 1))) for n in dims]
+        specials.append(multi_mode_mul(x, frames))
+    if len(set(dims)) == 1:
+        for _ in range(8):
+            specials.append(symmetrize(rng.standard_normal(dims)))
+    for _ in range(8):
+        specials.append(
+            to_dense(random_odeco(dims, min(dims), int(rng.integers(2**63 - 1))))
+        )
+    return np.stack(specials)
+
+
+class TestStackedSpecials:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4, 5), (2, 3, 4, 2)])
+    def test_rotated_copies_equal_multi_mode_mul(self, dims):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(dims)
+        frames = [_random_orthogonals(n, rng.integers(0, 2**62, size=8)) for n in dims]
+        stack = subdiff._rotated_copies(x, frames)
+        assert stack.shape == (8,) + dims
+        for k in range(8):
+            assert np.array_equal(stack[k], multi_mode_mul(x, [f[k] for f in frames]))
+
+    @pytest.mark.parametrize("dims, count", [((3, 3, 3), 31), ((3, 4, 5), 23)])
+    @pytest.mark.parametrize("params", PARAM_GRID_3)
+    def test_specials_only_slack_equals_per_seed_loop(self, dims, count, params):
+        # trials equal to the special count, so no probe enters the minimum
+        x = to_dense(random_odeco(dims, 2, 23))
+        g = np.random.default_rng(24).standard_normal(dims)
+        specials = _per_seed_specials(x, 6)
+        assert specials.shape[0] == count
+        norms = _schatten_norms(_stacked_spectra(specials), params)
+        pairings = subdiff._pairings(specials, g)
+        expected = float(
+            np.min(norms - schatten_norm(x, params) - (pairings - inner(g, x)))
+        )
+        got = subgradient_inequality_test(x, g, params, trials=count, seed=6)
+        assert got == expected
+
+    def test_each_call_draws_eight_odeco_specials(self):
+        x = np.random.default_rng(25).standard_normal((2, 3, 2))
+        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+            subgradient_inequality_test(x, x, SchattenParams(2, 2, 1), trials=5)
+        assert spy.call_count == 8
 
 
 class TestMatrixReduction:

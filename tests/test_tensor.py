@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from tensorspectra import (
     symmetrize,
     tensorize,
 )
+from tensorspectra.tensor import _symmetrize_stack
 
 
 def unit_tensor(shape, index):
@@ -291,6 +294,19 @@ class TestSymmetry:
         x = np.random.default_rng(12).standard_normal((2,) * 6)
         assert not is_symmetric(x)
         assert is_symmetric(symmetrize(x))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (4, 4, 4), (2, 2, 2, 2)])
+    def test_stacked_symmetrize_equals_each_slice(self, dims):
+        stack = np.random.default_rng(13).standard_normal((5,) + dims)
+        got = _symmetrize_stack(stack)
+        for k in range(stack.shape[0]):
+            # the sum over permutations, in itertools order, of one tensor
+            loop = np.zeros(dims)
+            for perm in itertools.permutations(range(len(dims))):
+                loop += np.transpose(stack[k], perm)
+            loop /= math.factorial(len(dims))
+            assert np.array_equal(got[k], symmetrize(stack[k]))
+            assert np.array_equal(got[k], loop)
 
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError, match="cubic"):
