@@ -317,22 +317,34 @@ def check_membership(
 # Probe pools are drawn and decomposed in chunks of about this many bytes, so
 # the memory of a pool that is not cached does not grow with the probe count.
 _CHUNK_BYTES = 4 << 20
-# Bytes of whole pools (probes plus spectra) kept between calls. 32 MiB holds
-# the working sets that repeat in one process: verify's subgradients suite
-# (6 pools, about 14 MB), its conjugate suite (1 pool, about 6 MB) and the
-# certify-small benchmark workload (5 pools, about 13 MB). A larger pool is
-# drawn again on every call and never stored.
+# Bytes of whole pools kept between calls: probes, spectra and the norms of
+# each SchattenParams a caller asked for. 32 MiB holds the working sets that
+# repeat in one process: verify's subgradients suite (6 pools with the norms
+# of 5 parameter sets each, about 16 MB) and the certify-small benchmark
+# workload (5 pools with 5 each, about 15 MB); verify's conjugate suite draws
+# no probe at seed 0. A larger pool is drawn again on every call and never
+# stored.
 _POOL_CACHE_BYTES = 32 << 20
 _PROBE_SCALES = np.geomspace(0.25, 4.0, 7)
+# (shape, seed, count) -> (chunks, norms): the pool's (stack, spectra)
+# chunks and, per SchattenParams, the norms of each chunk
 _pool_cache: OrderedDict = OrderedDict()
 _pool_lock = threading.Lock()
 
 
+def _pool_bytes(pool) -> int:
+    chunks, norms = pool
+    return sum(a.nbytes + b.nbytes for a, b in chunks) + sum(
+        n.nbytes for per_chunk in norms.values() for n in per_chunk
+    )
+
+
 def _make_room(nbytes: int) -> None:
-    # evict least recently used pools until nbytes more fit; holds _pool_lock
-    while _pool_cache and nbytes + sum(
-        a.nbytes + b.nbytes for pool in _pool_cache.values() for a, b in pool
-    ) > _POOL_CACHE_BYTES:
+    # evict least recently used pools, with their norms, until nbytes more
+    # fit; holds _pool_lock
+    while _pool_cache and (
+        nbytes + sum(map(_pool_bytes, _pool_cache.values())) > _POOL_CACHE_BYTES
+    ):
         _pool_cache.popitem(last=False)
 
 
@@ -359,22 +371,27 @@ def _drawn_chunks(shape: tuple[int, ...], seed: int, count: int):
         yield stack, spectra
 
 
-def _probe_chunks(shape: tuple[int, ...], seed: int, count: int):
-    """The seeded Gaussian probe pool, as read-only ``(stack, spectra)`` chunks.
+def _probe_chunks(
+    shape: tuple[int, ...], seed: int, count: int, params: SchattenParams
+):
+    """The seeded Gaussian probe pool, as read-only ``(stack, norms)`` chunks.
 
     Probe i is the i-th draw of one Generator seeded by (seed, D, shape,
-    count), times the scale ``_PROBE_SCALES[i % 7]``; ``spectra`` holds the
-    stacked mode spectra of the chunk's probes. Sequential draws concatenate
-    bit for bit, so no value depends on the chunking. A pool whose probes and
-    spectra fit ``_POOL_CACHE_BYTES`` is kept as its chunks, after the least
-    recently used pools are evicted to make room, and those chunks are
-    replayed on later calls; a larger pool is streamed chunk by chunk on
-    every call.
+    count), times the scale ``_PROBE_SCALES[i % 7]``; ``norms`` holds the
+    norms under ``params`` of the chunk's probes, from their stacked mode
+    spectra. Sequential draws concatenate bit for bit, so no value depends on
+    the chunking. A pool whose probes, spectra and one set of norms fit
+    ``_POOL_CACHE_BYTES`` is kept as its chunks, after the least recently
+    used pools are evicted to make room, and those chunks are replayed on
+    later calls. The norms of each ``params`` are computed once and kept in
+    the pool's own entry, counted against the cap, so they are evicted with
+    the pool and always match its chunks. A larger pool is streamed chunk by
+    chunk on every call, its norms computed per chunk.
     """
     if count < 1:
         return
     key = (shape, seed, count)
-    nbytes = 8 * count * (math.prod(shape) + len(shape) * max(shape))
+    nbytes = 8 * count * (math.prod(shape) + len(shape) * max(shape) + 1)
     keep = nbytes <= _POOL_CACHE_BYTES
     with _pool_lock:
         pool = _pool_cache.get(key)
@@ -382,14 +399,27 @@ def _probe_chunks(shape: tuple[int, ...], seed: int, count: int):
             _pool_cache.move_to_end(key)
         elif keep:
             _make_room(nbytes)
+    if pool is None and not keep:
+        for stack, spectra in _drawn_chunks(shape, seed, count):
+            yield stack, _schatten_norms(spectra, params)
+        return
     if pool is None:
-        pool = _drawn_chunks(shape, seed, count)
-        if keep:
-            pool = tuple(pool)
-            with _pool_lock:
-                _make_room(nbytes)
-                _pool_cache[key] = pool
-    yield from pool
+        pool = (tuple(_drawn_chunks(shape, seed, count)), {})
+        with _pool_lock:
+            _make_room(nbytes)
+            _pool_cache[key] = pool
+    chunks, norms = pool
+    per_chunk = norms.get(params)
+    if per_chunk is None:
+        per_chunk = tuple(_schatten_norms(spectra, params) for _, spectra in chunks)
+        for n in per_chunk:
+            n.flags.writeable = False
+        with _pool_lock:
+            _make_room(8 * count)
+            if _pool_cache.get(key) is pool:
+                norms[params] = per_chunk
+    for (stack, _), n in zip(chunks, per_chunk):
+        yield stack, n
 
 
 _SPECIAL_SCALES = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
@@ -423,7 +453,9 @@ def subgradient_inequality_test(
     ``symmetrize``. The Gaussian tensors are the probe pool of (shape,
     seed, count), drawn in chunks of a few MiB and reduced to a running
     minimum, so memory does not grow with ``trials``; pools up to 32 MiB are
-    kept as chunks and reused by later calls with the same key.
+    kept as chunks and reused by later calls with the same key, together
+    with their norms under each ``params`` already asked for, so a repeated
+    call decomposes no probe and recomputes no probe norm.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -456,13 +488,12 @@ def subgradient_inequality_test(
     norm_x = schatten_norm(x, params)
     g_dot_x = inner(g, x)
 
-    def slack(stack: np.ndarray, spectra: np.ndarray) -> float:
+    def slack(stack: np.ndarray, norms: np.ndarray) -> float:
         pairings = _pairings(stack, g)
-        norms = _schatten_norms(spectra, params)
         return float(np.min(norms - norm_x - (pairings - g_dot_x)))
 
-    best = slack(stack, _stacked_spectra(stack))
-    for chunk in _probe_chunks(dims, seed, trials - stack.shape[0]):
+    best = slack(stack, _schatten_norms(_stacked_spectra(stack), params))
+    for chunk in _probe_chunks(dims, seed, trials - stack.shape[0], params):
         best = min(best, slack(*chunk))
     return best
 
@@ -518,9 +549,9 @@ def estimate_tensor_conjugate(
     falsifier off the aligned directions: a fifth of the remaining budget,
     at most 20,000, scanned chunk by chunk with a running maximum, so memory
     stays at one chunk whatever the count (pools up to 32 MiB are kept as
-    chunks for later calls with the same shape, seed and count). The
-    objective is positively homogeneous, so a positive value proves the
-    supremum infinite; it is rescaled into a comfortably positive
+    chunks, with their norms, for later calls with the same shape, seed and
+    count). The objective is positively homogeneous, so a positive value
+    proves the supremum infinite; it is rescaled into a comfortably positive
     certificate. The probes are skipped once ``target`` is reached.
     """
     x = np.asarray(x, dtype=float)
@@ -563,8 +594,8 @@ def estimate_tensor_conjugate(
     # Gaussian probes with exact norms
     n_gauss = min((budget - evals) // 5, 20_000)
     if n_gauss > 0 and not done():
-        for stack, spectra in _probe_chunks(dims, seed, n_gauss):
-            objective = _pairings(stack, x) - _schatten_norms(spectra, params)
+        for stack, norms in _probe_chunks(dims, seed, n_gauss, params):
+            objective = _pairings(stack, x) - norms
             # strict >, so the first of equal maxima wins as with one argmax
             k = int(np.argmax(objective))
             if objective[k] > best:

@@ -16,6 +16,7 @@ from .linalg import complete_orthonormal, is_orthogonal, random_orthogonal, svd
 from .odeco import make_odeco, random_odeco, random_symmetric_odeco, to_dense
 from .spectral import (
     SchattenParams,
+    _stacked_spectra,
     all_mode_spectra,
     core_orthogonality_report,
     hosvd,
@@ -36,12 +37,13 @@ from .subdiff import (
 )
 from .tensor import (
     frobenius,
+    inner,
     matricize,
     multi_mode_mul,
     symmetrize,
     tensorize,
 )
-from .vonneumann import _equality_structure, vn_report
+from .vonneumann import _equality_structure, _vn_report, vn_report
 
 __all__ = ["SuiteResult", "SUITES", "run_all", "grid_best_pairing"]
 
@@ -222,19 +224,20 @@ def suite_vonneumann(seed: int) -> SuiteResult:
     """Universal per-mode bound plus the shared-frame equality structure."""
     result = SuiteResult("vonneumann")
     rng = _rng(seed, 5)
-    worst = 0.0
-    universal_ok = True
+    # the pairs in draw order, grouped by shape: each group's spectra come
+    # from one stacked SVD per mode, each report from vn_report's own code
+    pairs = {dims: [] for dims in _VN_SHAPES}
     for k in range(10_000):
         dims = _VN_SHAPES[k % len(_VN_SHAPES)]
-        x = rng.standard_normal(dims)
-        y = rng.standard_normal(dims)
-        report = vn_report(x, y)
-        scale = max(1.0, frobenius(x) * frobenius(y))
-        margin = float(np.min(report.per_mode_gap)) / scale
-        worst = min(worst, margin)
-        if margin < -1e-10:
-            universal_ok = False
-    result.check(universal_ok, f"negative per-mode gap found, worst {worst:.3e}")
+        pairs[dims].append((rng.standard_normal(dims), rng.standard_normal(dims)))
+    worst = 0.0
+    for group in pairs.values():
+        spectra = _stacked_spectra(np.stack([t for pair in group for t in pair]))
+        for (x, y), sx, sy in zip(group, spectra[::2], spectra[1::2]):
+            scale = max(1.0, frobenius(x) * frobenius(y))
+            report = _vn_report(inner(x, y), sx, sy, x.shape, 1e-10, scale)
+            worst = min(worst, float(np.min(report.per_mode_gap)) / scale)
+    result.check(worst >= -1e-10, f"negative per-mode gap found, worst {worst:.3e}")
 
     for k in range(100):
         n = 3 + k % 2
@@ -278,16 +281,28 @@ def grid_best_pairing(s, p: float, resolution: float = 1e-3) -> float:
     are gridded directly. Serves as the independent oracle for
     :func:`tensorspectra.subdiff.dual_vector_maximizer`.
     """
-    s = np.asarray(s, dtype=float)
-    n = s.size
+    rows = np.asarray(s, dtype=float).reshape(1, -1)
+    return float(_grid_best_pairings(rows, p, resolution)[0])
+
+
+def _grid_best_pairings(rows: np.ndarray, p: float, resolution: float) -> np.ndarray:
+    # grid_best_pairing of each row of a (k, n) array: each grid is built
+    # once for all rows and paired with every row by its own product
+    n = rows.shape[1]
     if n not in (2, 3):
         raise ValueError("s: grid oracle supports 2 or 3 coordinates")
-    p_star = holder_conjugate(p)
-    steps = int(round(1.0 / resolution))
+    best = np.full(rows.shape[0], -math.inf)
+    for w in _oracle_grids(n, holder_conjugate(p), int(round(1.0 / resolution))):
+        for k, s in enumerate(rows):
+            best[k] = max(best[k], float(np.max(w @ s)))
+    return best
+
+
+def _oracle_grids(n: int, p_star: float, steps: int):
+    # the directions of grid_best_pairing, one grid at a time
     t = np.linspace(0.0, 1.0, steps + 1)
     if math.isinf(p_star):
         # unit infinity-sphere: one coordinate pinned to 1 per face
-        best = -math.inf
         for face in range(n):
             if n == 2:
                 w = np.empty((t.size, 2))
@@ -300,8 +315,8 @@ def grid_best_pairing(s, p: float, resolution: float = 1e-3) -> float:
                 rest = [k for k in range(3) if k != face]
                 w[:, rest[0]] = a.ravel()
                 w[:, rest[1]] = b.ravel()
-            best = max(best, float(np.max(w @ s)))
-        return best
+            yield w
+        return
     if n == 2:
         w = np.column_stack([t, 1.0 - t])
     else:
@@ -311,7 +326,7 @@ def grid_best_pairing(s, p: float, resolution: float = 1e-3) -> float:
         i, j = i[keep], j[keep]
         w = np.column_stack([i, j, steps - i - j]).astype(float) / steps
     norms = np.sum(w**p_star, axis=1) ** (1.0 / p_star)
-    return float(np.max((w / norms[:, None]) @ s))
+    yield w / norms[:, None]
 
 
 def suite_dual_maximizer(seed: int) -> SuiteResult:
@@ -321,6 +336,7 @@ def suite_dual_maximizer(seed: int) -> SuiteResult:
     for n in (2, 3):
         for p in (1.0, 1.5, 2.0, 3.0):
             p_star = holder_conjugate(p)
+            cases = []
             for case in range(5):
                 s = np.abs(rng.standard_normal(n))
                 if case == 4:
@@ -330,13 +346,17 @@ def suite_dual_maximizer(seed: int) -> SuiteResult:
                     continue
                 s /= norm2
                 maximizer = dual_vector_maximizer(s, p)
-                pairing = float(np.dot(maximizer.vector, s))
+                cases.append((s, float(np.dot(maximizer.vector, s)), maximizer))
+            # the oracle's grids are built once for the five cases
+            oracles = _grid_best_pairings(
+                np.array([s for s, _, _ in cases]).reshape(-1, n), p, 1e-3
+            )
+            for (_, pairing, maximizer), oracle in zip(cases, oracles.tolist()):
                 unit_err = abs(lp_norm(maximizer.vector, p_star) - 1.0)
                 result.check(
                     unit_err <= 1e-12,
                     f"maximizer conjugate norm off by {unit_err:.3e} (n={n}, p={p})",
                 )
-                oracle = grid_best_pairing(s, p)
                 result.check(
                     oracle - 1e-9 <= pairing and pairing - oracle <= 1e-3,
                     f"pairing {pairing:.6f} vs grid {oracle:.6f} (n={n}, p={p})",

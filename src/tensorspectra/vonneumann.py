@@ -77,15 +77,26 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
-    value = inner(x, y)
+    spectra_x, spectra_y = (
+        [mode_spectrum(t, d) for d in range(1, t.ndim + 1)] for t in (x, y)
+    )
+    scale = max(1.0, frobenius(x) * frobenius(y))
+    return _vn_report(inner(x, y), spectra_x, spectra_y, x.shape, tol, scale)
+
+
+def _vn_report(
+    value: float, spectra_x, spectra_y, dims, tol: float, scale: float
+) -> VnReport:
+    # vn_report from value = <x, y>, scale = max(1, ||x|| ||y||) and the
+    # mode spectra of x and y, per-mode arrays or the rows of a padded
+    # _stacked_spectra entry; each bound is one np.dot over n_d entries
     bounds = np.array(
         [
-            float(np.dot(mode_spectrum(x, d), mode_spectrum(y, d)))
-            for d in range(1, x.ndim + 1)
+            float(np.dot(spectra_x[d][:n], spectra_y[d][:n]))
+            for d, n in enumerate(dims)
         ]
     )
     gaps = bounds - value
-    scale = max(1.0, frobenius(x) * frobenius(y))
     return VnReport(
         inner=value,
         per_mode_bound=bounds,

@@ -146,6 +146,34 @@ def test_vn_check_frames_stdout_is_pinned(tmp_path, kind, digest):
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("gaussian", "0ef0b1f62e8750c757cd3f1df462d2ab03bb05983d4e2fa208644d9ba2b10da5"),
+        ("odeco", "affbc146e663faced4384b81603bad52972a085cd2ec7b151e51d4407110ea11"),
+    ],
+)
+def test_check_subgrad_stdout_is_pinned(tmp_path, kind, digest):
+    # x from gen at 6^3 and, at (p, q, λ) = (3, 2, 1), y its canonical
+    # subgradient (odeco, accepted with gaps at rounding level) or a second
+    # Gaussian tensor (rejected)
+    x_path, y_path = tmp_path / "x.json", tmp_path / "y.json"
+    norm = ["--p", "3", "--q", "2", "--lambda", "1"]
+    assert invoke(["gen", "--kind", kind, "--shape", "6x6x6", "--out", str(x_path)])[0] == 0
+    if kind == "odeco":
+        made = invoke(["subgrad", *norm, "--in", str(x_path), "--out", str(y_path)])
+    else:
+        made = invoke(
+            ["gen", "--kind", kind, "--shape", "6x6x6", "--seed", "1", "--out", str(y_path)]
+        )
+    assert made[0] == 0
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = run(["check-subgrad", *norm, "--x", str(x_path), "--y", str(y_path)])
+    assert code == 0
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+
+
 def test_subgrad_pipeline(tmp_path):
     rep_path = tmp_path / "odeco.json"
     code, _ = invoke(

@@ -40,10 +40,17 @@ from tensorspectra import (
     tuple_membership,
     tuple_subgradient,
 )
-from tensorspectra import multi_mode_mul, random_orthogonal, subdiff, symmetrize
+from tensorspectra import (
+    mode_spectrum,
+    multi_mode_mul,
+    random_orthogonal,
+    subdiff,
+    symmetrize,
+    vn_report,
+)
 from tensorspectra.linalg import _random_orthogonals
 from tensorspectra.spectral import _mixed_norm, _schatten_norms, _stacked_spectra
-from tensorspectra.verify import grid_best_pairing
+from tensorspectra.verify import _param_grid, grid_best_pairing
 
 PARAM_GRID_3 = [
     SchattenParams(1, 1, 1 / 3),
@@ -364,6 +371,81 @@ class TestStackedSpecials:
         assert spy.call_count == 8
 
 
+def _certificate_points():
+    rng = np.random.default_rng(21)
+    return {
+        "odeco": to_dense(random_odeco((3, 3, 3), 2, 11)),
+        "symmetric": symmetrize(rng.standard_normal((3, 3, 3))),
+        "gaussian-3x4x5": rng.standard_normal((3, 4, 5)),
+        "two-mode": rng.standard_normal((4, 3)),
+        "gaussian-2x3x4x2": rng.standard_normal((2, 3, 4, 2)),
+    }
+
+
+CERTIFICATE_POINTS = _certificate_points()
+
+
+class TestCertificateBits:
+    """check_membership is the public composition, and the subgradient test
+    keeps its probe norms with its pool; neither may change a bit."""
+
+    @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
+    def test_membership_fields_equal_the_public_composition(self, name):
+        x = CERTIFICATE_POINTS[name]
+        rng = np.random.default_rng(22)
+        for params in _param_grid(x.ndim):
+            candidates = [rng.standard_normal(x.shape), 0.5 * x]
+            if name == "odeco":
+                rep = random_odeco((3, 3, 3), 2, 11)
+                candidates.append(schatten_subgradient(rep, params))
+            for y in candidates:
+                certificate = check_membership(x, y, params, tol=1e-8)
+                report = vn_report(x, y, 1e-8)
+                residual = abs(inner(x, y) - schatten_norm(x, params))
+                dual = subdiff._spectral_dual_ratio(y, params)
+                assert certificate.vn_gaps.tobytes() == report.per_mode_gap.tobytes()
+                assert certificate.pairing_residual == residual
+                assert certificate.dual_norm_value == dual
+                assert certificate.notes["vn_equality"] == report.equality
+                # vn_report itself: one np.dot of two per-tensor spectra per mode
+                bounds = np.array(
+                    [
+                        float(np.dot(mode_spectrum(x, d), mode_spectrum(y, d)))
+                        for d in range(1, x.ndim + 1)
+                    ]
+                )
+                assert report.per_mode_bound.tobytes() == bounds.tobytes()
+
+    @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
+    def test_inequality_test_is_the_same_cold_warm_and_streamed(
+        self, name, fresh_pool_cache, monkeypatch
+    ):
+        # several chunks a pool; 31 or 23 specials, then 300 or 308 probes
+        x = CERTIFICATE_POINTS[name]
+        g = np.random.default_rng(23).standard_normal(x.shape)
+        monkeypatch.setattr(subdiff, "_CHUNK_BYTES", 8 * x.size * 97)
+
+        def slack(params):
+            return subgradient_inequality_test(x, g, params, trials=331, seed=9)
+
+        grid = _param_grid(x.ndim)
+        streamed = []
+        with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
+            for params in grid:
+                streamed.append(slack(params))
+                assert not subdiff._pool_cache
+        # the pool drawn at the first grid point, norms new at each
+        warm_pool = [slack(params) for params in grid]
+        warm = [slack(params) for params in grid]  # pool and norms cached
+        cold = []
+        for params in grid:
+            subdiff._pool_cache.clear()
+            cold.append(slack(params))
+        assert cold == warm_pool == warm == streamed
+        (chunks, norms), = subdiff._pool_cache.values()
+        assert len(chunks) > 1 and list(norms) == [grid[-1]]
+
+
 class TestMatrixReduction:
     def test_polar_factor(self):
         params = SchattenParams(1, 1, 0.5)
@@ -650,9 +732,8 @@ def test_dual_ratio_at_most_one_proves_the_conjugate_zero(dims, p, q, ratio, see
     assert estimate.maximizer.shape == shape and not estimate.maximizer.any()
     # no probe beats y = 0 (pools streamed, so examples do not fill the cache) ...
     with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
-        for stack, spectra in subdiff._probe_chunks(shape, seed, 200):
+        for stack, norms in subdiff._probe_chunks(shape, seed, 200, params):
             pairings = subdiff._pairings(stack, x)
-            norms = _schatten_norms(spectra, params)
             scale = np.maximum(1.0, np.maximum(np.abs(pairings), norms))
             assert np.all(pairings - norms <= 1e-12 * scale)
     # ... nor does the aligned certificate: ||diag||_{p*} <= ratio lam D^(1/q)
@@ -678,9 +759,12 @@ def test_tied_weights_pin_a_missed_certificate(params):
 
 
 def _cached_bytes():
-    return sum(
-        a.nbytes + b.nbytes for pool in subdiff._pool_cache.values() for a, b in pool
-    )
+    # probes, spectra and every kept set of norms
+    total = 0
+    for chunks, norms in subdiff._pool_cache.values():
+        total += sum(stack.nbytes + spectra.nbytes for stack, spectra in chunks)
+        total += sum(n.nbytes for per_chunk in norms.values() for n in per_chunk)
+    return total
 
 
 @pytest.fixture
@@ -707,7 +791,6 @@ from tensorspectra import (
     to_dense,
 )
 from tensorspectra import subdiff
-from tensorspectra.spectral import _schatten_norms
 
 shape, seed, count = (4, 4, 4), 1, 9_969
 params = SchattenParams(3, 2, 1)
@@ -720,8 +803,8 @@ def digest(a):
 
 def objective():
     return digest(np.concatenate([
-        subdiff._pairings(stack, g) - _schatten_norms(spectra, params)
-        for stack, spectra in subdiff._probe_chunks(shape, seed, count)
+        subdiff._pairings(stack, g) - norms
+        for stack, norms in subdiff._probe_chunks(shape, seed, count, params)
     ]))
 
 
@@ -745,6 +828,11 @@ print(repr(e.best_value), digest(e.maximizer), e.evaluations)
 class TestProbePool:
     SHAPE = (3, 3, 3)
     COUNT = 300
+    PARAMS = SchattenParams(3, 2, 1)
+    # bytes of a cached probe: its 27 entries, its three mode spectra and one
+    # norm per parameter set asked for
+    PROBE_BYTES = 8 * (27 + 3 * 3)
+    NORM_BYTES = 8
     # probes per chunk; None keeps the default
     CHUNKS = [1, 7, 28, None, 10**9]
 
@@ -796,12 +884,12 @@ class TestProbePool:
     def test_streamed_chunks_concatenate_to_the_pool(
         self, fresh_pool_cache, monkeypatch, count, probes
     ):
-        (pool,) = subdiff._probe_chunks(self.SHAPE, 3, count)
+        (pool,) = subdiff._probe_chunks(self.SHAPE, 3, count, self.PARAMS)
         assert not pool[0].flags.writeable and not pool[1].flags.writeable
         self._set_chunk(monkeypatch, probes)
         monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
         monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 0)
-        chunks = list(subdiff._probe_chunks(self.SHAPE, 3, count))
+        chunks = list(subdiff._probe_chunks(self.SHAPE, 3, count, self.PARAMS))
         assert not subdiff._pool_cache
         assert np.array_equal(np.concatenate([c[0] for c in chunks]), pool[0])
         assert np.array_equal(np.concatenate([c[1] for c in chunks]), pool[1])
@@ -809,24 +897,78 @@ class TestProbePool:
     def test_cache_stays_within_its_byte_budget(self, fresh_pool_cache, monkeypatch):
         budget = 100_000
         monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", budget)
-        per_probe = 8 * (27 + 3 * 3)  # the probe and its three mode spectra
-        for count in (300, 50, 200, 400, 10, 340, 120, 347, 300):
-            chunks = list(subdiff._probe_chunks(self.SHAPE, 0, count))
+        # a pool is kept when it fits with the norms of one parameter set
+        per_probe = self.PROBE_BYTES + self.NORM_BYTES
+        grid = PARAM_GRID_3[:3]
+        counts = (300, 50, 200, 400, 10, 340, 120, 337, 338, 347, 300)
+        for k, count in enumerate(counts):
+            params = grid[k % len(grid)]
+            chunks = list(subdiff._probe_chunks(self.SHAPE, 0, count, params))
             assert sum(len(stack) for stack, _ in chunks) == count
             assert _cached_bytes() <= budget
             key = (self.SHAPE, 0, count)
             assert (key in subdiff._pool_cache) == (count * per_probe <= budget)
             if key in subdiff._pool_cache:
                 assert next(reversed(subdiff._pool_cache)) == key
+                assert params in subdiff._pool_cache[key][1]
+        # more norms of the last pool: they count, and older pools make room
+        for params in grid:
+            list(subdiff._probe_chunks(self.SHAPE, 0, 300, params))
+            assert _cached_bytes() <= budget
+        key = (self.SHAPE, 0, 300)
+        assert list(subdiff._pool_cache) == [key]
+        assert set(subdiff._pool_cache[key][1]) == set(grid)
+        assert _cached_bytes() == 300 * (self.PROBE_BYTES + 3 * self.NORM_BYTES)
+        # a pool that fits with one set of norms only: a second set would
+        # pass the cap, so the pool makes room for it and is dropped
+        for params in grid:
+            list(subdiff._probe_chunks(self.SHAPE, 0, 337, params))
+            assert _cached_bytes() <= budget
 
     def test_cache_evicts_the_least_recently_used_pool(
         self, fresh_pool_cache, monkeypatch
     ):
-        # room for two of these pools of 100 to 102 probes, 288 bytes each
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 300 * 288)
+        # room for two of these pools of 100 to 102 probes with one set of
+        # norms, 296 bytes a probe
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 300 * 296)
         for count in (100, 101, 100, 102):  # the third call is a hit
-            list(subdiff._probe_chunks(self.SHAPE, 0, count))
+            list(subdiff._probe_chunks(self.SHAPE, 0, count, self.PARAMS))
         assert list(subdiff._pool_cache) == [(self.SHAPE, 0, 100), (self.SHAPE, 0, 102)]
+
+    def test_eviction_drops_a_pools_norms_with_its_chunks(
+        self, fresh_pool_cache, monkeypatch
+    ):
+        # pool A with the norms of three parameter sets, then pool B, which
+        # fits only once A and all of its norms are gone
+        grid = PARAM_GRID_3[:3]
+        first = {
+            params: list(subdiff._probe_chunks(self.SHAPE, 0, 150, params))
+            for params in grid
+        }
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 300 * 296)
+        list(subdiff._probe_chunks(self.SHAPE, 1, 200, self.PARAMS))
+        assert list(subdiff._pool_cache) == [(self.SHAPE, 1, 200)]
+        assert _cached_bytes() == 200 * (self.PROBE_BYTES + self.NORM_BYTES)
+        # A drawn again pairs fresh norms with its chunks
+        monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
+        for params in grid:
+            again = list(subdiff._probe_chunks(self.SHAPE, 0, 150, params))
+            assert [(s.tobytes(), n.tobytes()) for s, n in again] == [
+                (s.tobytes(), n.tobytes()) for s, n in first[params]
+            ]
+
+    def test_streamed_pools_store_no_norms(self, fresh_pool_cache, monkeypatch):
+        # a pool over the cap leaves the cache, and the norms kept in it, as
+        # they were
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 100 * 296)
+        list(subdiff._probe_chunks(self.SHAPE, 0, 100, self.PARAMS))
+        before = _cached_bytes()
+        for params in PARAM_GRID_3:
+            chunks = list(subdiff._probe_chunks(self.SHAPE, 0, 101, params))
+            assert sum(len(stack) for stack, _ in chunks) == 101
+        assert list(subdiff._pool_cache) == [(self.SHAPE, 0, 100)]
+        assert list(subdiff._pool_cache[(self.SHAPE, 0, 100)][1]) == [self.PARAMS]
+        assert _cached_bytes() == before
 
     def test_probe_values_do_not_depend_on_the_blas_thread_count(self):
         src = Path(__file__).resolve().parents[1] / "src"
