@@ -2,12 +2,14 @@
 
 Every command prints a single JSON document on stdout. Exit codes: 0 on
 success, 1 on domain errors (with an ``{"error": ...}`` document), 2 on
-usage errors. All randomness is seeded (default seed 0).
+usage errors. All randomness is seeded (default seed 0). ``run`` builds its
+parser once per process and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -310,11 +312,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser unchanged, so one serves every run call
+    return build_parser()
+
+
 def run(argv) -> int:
     """Parse and execute one command; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,8 +1,11 @@
 """JSON interchange for tensors, decompositions and reports.
 
 Numbers are written with 17 significant decimal digits, which round-trips
-binary64 values exactly; arrays are flattened row-major (last index
-fastest). Parse errors name the offending field.
+binary64 values exactly (``-0`` reads back as -0.0); arrays are flattened
+row-major (last index fastest). Every float array and list goes through one
+formatter that spells the whole list in a single format call, byte for byte
+as ``format(v, ".17g")`` spells each value; non-finite values in reports
+are written as null. Parse errors name the offending field.
 """
 
 from __future__ import annotations
@@ -40,6 +43,20 @@ def _fmt_float(value: float) -> str:
     return format(value, ".17g")
 
 
+def _fmt_floats(values) -> str:
+    """``", ".join(_fmt_float(v) for v in values)`` in one format call.
+
+    ``"%.17g" % v`` spells a float as ``format(v, ".17g")`` does. Only the
+    spellings of inf and nan hold an "n", so any "n" sends the list down
+    the per-value path, which writes them as null.
+    """
+    values = tuple(values)
+    text = ", ".join(("%.17g",) * len(values)) % values
+    if "n" in text:
+        return ", ".join(_fmt_float(v) for v in values)
+    return text
+
+
 def dumps_json(payload: Any) -> str:
     """Serialize nested dicts/lists/arrays with 17-significant-digit floats."""
     if payload is None:
@@ -55,6 +72,8 @@ def dumps_json(payload: Any) -> str:
     if isinstance(payload, np.ndarray):
         return dumps_json(payload.tolist())
     if isinstance(payload, (list, tuple)):
+        if set(map(type, payload)) <= {float}:
+            return "[" + _fmt_floats(payload) + "]"
         return "[" + ", ".join(dumps_json(item) for item in payload) + "]"
     if isinstance(payload, dict):
         parts = (f"{json.dumps(str(k))}: {dumps_json(v)}" for k, v in payload.items())
@@ -70,9 +89,14 @@ def _require_field(doc: dict, field: str, context: str):
     return doc[field]
 
 
+def _json_int(text: str):
+    # the writer spells -0.0 as "-0", which json would read as the int 0
+    return -0.0 if text == "-0" else int(text)
+
+
 def _loads_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"document: invalid JSON ({exc})") from exc
 
@@ -81,9 +105,12 @@ def _number_list(raw, field: str, context: str) -> np.ndarray:
     # a nonempty JSON list of numbers, booleans excluded, as float64
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{field}: expected a nonempty list in {context}")
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{field}: entries must be numbers, got {v!r}")
+    # one type scan accepts the usual list (JSON gives bool its own type);
+    # any other list is walked so the error names its first bad entry
+    if not set(map(type, raw)) <= {int, float}:
+        for v in raw:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{field}: entries must be numbers, got {v!r}")
     try:
         return np.array(raw, dtype=float)
     except OverflowError:
@@ -103,7 +130,7 @@ def _parse_shape(raw, context: str) -> tuple[int, ...]:
 
 def dumps_tensor(x) -> str:
     x = as_tensor(x)
-    data = ", ".join(_fmt_float(v) for v in x.ravel())
+    data = _fmt_floats(x.ravel().tolist())
     shape = ", ".join(str(n) for n in x.shape)
     return f'{{"shape": [{shape}], "data": [{data}]}}'
 
@@ -131,7 +158,7 @@ def load_tensor(path) -> np.ndarray:
 
 def dumps_odeco(rep: OdecoRep) -> str:
     shape = ", ".join(str(n) for n in rep.shape)
-    alphas = ", ".join(_fmt_float(a) for a in rep.alphas)
+    alphas = _fmt_floats(rep.alphas)
     factors = ", ".join(dumps_tensor(f) for f in rep.factors)
     return (
         f'{{"shape": [{shape}], "alphas": [{alphas}], "factors": [{factors}]}}'

@@ -209,7 +209,9 @@ def tuple_membership(t, g, params: SchattenParams, tol: float = 1e-9) -> bool:
 
     g belongs to the subdifferential of the tuple norm at t iff the pairing
     <g, t> equals the norm value and the mixed conjugate norm of g is at
-    most lam.
+    most lam. The pairing is compared to within tol * sum |g| * t, the size
+    of its terms, with no absolute floor, so scaling t changes no verdict;
+    at t = 0 the dual bound alone decides.
     """
     rows_t = _tuple_rows(t, "t")
     rows_g = _tuple_rows(g, "g")
@@ -217,12 +219,15 @@ def tuple_membership(t, g, params: SchattenParams, tol: float = 1e-9) -> bool:
         raise ValueError("g: must match the shape of t")
     if any(np.any(r < 0) for r in rows_t):
         raise ValueError("t: entries must be nonnegative")
-    value = schatten_value_tuple(rows_t, params)
-    pairing = sum(float(np.dot(a, b)) for a, b in zip(rows_g, rows_t))
     duals = DualExponents.of(params)
-    dual_value = mixed_norm(rows_g, duals.p_star, duals.q_star)
-    scale = max(1.0, value)
-    return abs(pairing - value) <= tol * scale and dual_value <= params.lam * (1.0 + tol)
+    in_dual_ball = mixed_norm(rows_g, duals.p_star, duals.q_star) <= params.lam * (1.0 + tol)
+    t_stack, g_stack = np.vstack(rows_t), np.vstack(rows_g)
+    if not t_stack.any():
+        return in_dual_ball
+    value = schatten_value_tuple(rows_t, params)
+    pairing = float(np.sum(g_stack * t_stack))
+    terms = float(np.sum(np.abs(g_stack) * t_stack))
+    return abs(pairing - value) <= tol * terms and in_dual_ball
 
 
 def schatten_subgradient(rep: OdecoRep, params: SchattenParams) -> np.ndarray:

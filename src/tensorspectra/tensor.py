@@ -203,13 +203,15 @@ def is_symmetric(x, tol: float = 1e-10) -> bool:
     """True when ``x`` is invariant under every permutation of its indices.
 
     Checks the D - 1 adjacent transpositions, which generate all
-    permutations, each to within tol * max(1, ||x||_F) in the max norm. Any
+    permutations, each to within tol * ||x||_F in the max norm. Any
     permutation is a product of at most C(D, 2) of them, so it moves an
-    accepted ``x`` by at most C(D, 2) times that bound.
+    accepted ``x`` by at most C(D, 2) times that bound. The bound has no
+    absolute floor, so the verdict does not depend on the scale of ``x``;
+    the zero tensor is symmetric.
     """
     x = np.asarray(x, dtype=float)
     _require_cubic(x)
-    bound = tol * max(1.0, frobenius(x))
+    bound = tol * frobenius(x)
     return all(
         np.max(np.abs(x - np.swapaxes(x, k, k + 1))) <= bound
         for k in range(x.ndim - 1)

@@ -354,3 +354,52 @@ def test_module_entry_point(tmp_path):
     payload = json.loads(out.stdout)
     assert payload["shape"] == [2, 2]
     assert len(payload["data"]) == 4
+
+
+def _outputs(sequence, tmp_path):
+    # exit code and stdout of each command, run one after another
+    results = []
+    for argv in sequence:
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        results.append((code, buffer.getvalue()))
+    return results
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        [
+            ["gen", "--kind", "odeco", "--shape", "3x3x3", "--rank", "2"],
+            ["gen", "--kind", "odeco", "--shape", "3x3x3"],
+        ],
+        [
+            ["verify", "--suite", "adjointness"],
+            ["verify", "--suite", "cli_roundtrip"],
+        ],
+        [
+            ["gen", "--kind", "gaussian", "--shape", "2x2", "--out", "@x.json"],
+            ["norm", "--p", "0.5"],
+            ["norm", "--in", "@x.json"],
+        ],
+    ],
+    ids=["rank-default", "suite-append", "after-usage-error"],
+)
+def test_one_parser_serves_a_sequence_of_commands(sequence, tmp_path, monkeypatch):
+    from tensorspectra import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    shared = _outputs(sequence, tmp_path)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _outputs(sequence, tmp_path)
+    assert shared == fresh
+    # each command prints its own document, so a leaked option would show
+    assert len({out for _, out in shared}) == len(sequence)
+    if sequence[0][0] == "verify":
+        suites = [json.loads(out)["suites"] for _, out in shared]
+        assert [[s["name"] for s in found] for found in suites] == [["adjointness"], ["cli_roundtrip"]]
+    if sequence[1][0] == "norm":
+        assert [code for code, _ in shared] == [0, 2, 0]

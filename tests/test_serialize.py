@@ -1,10 +1,15 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorspectra import hosvd, random_odeco
 from tensorspectra.serialize import (
+    _fmt_floats,
     dump_odeco,
     dump_tensor,
     dumps_hosvd,
@@ -153,3 +158,106 @@ def test_dumps_json_report_shapes():
     assert parsed["ok"] is True
     assert parsed["values"] == [1.0, 0.5]
     assert parsed["nan"] is None
+
+
+# the binary64 values whose spelling is easiest to get wrong: the smallest
+# subnormal and normal, the largest value, signed zeros, integral values
+SPECIAL_FLOATS = [
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    2.225073858507201e-308,
+    sys.float_info.max,
+    -sys.float_info.max,
+    0.0,
+    -0.0,
+    1.0,
+    -3.0,
+    2.0**53,
+    1e16,
+    1e22,
+    123456789.0,
+]
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite_floats, max_size=40))
+@example(SPECIAL_FLOATS)
+@example([])
+def test_one_format_call_spells_each_float_as_format_does(values):
+    assert _fmt_floats(values) == ", ".join(format(v, ".17g") for v in values)
+    assert _fmt_floats(np.array(values)) == _fmt_floats(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite_floats, min_size=1, max_size=40))
+@example(SPECIAL_FLOATS)
+def test_tensor_round_trip_is_bit_exact_at_every_finite_value(values):
+    x = np.array(values).reshape(-1, 1)
+    back = loads_tensor(dumps_tensor(x))
+    assert back.shape == x.shape
+    assert back.tobytes() == x.tobytes()
+
+
+def _spelled(v):
+    return format(v, ".17g") if math.isfinite(v) else "null"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+@example([0.5, math.nan, -0.0, math.inf, -math.inf, 1.0])
+def test_dumps_json_spells_float_lists_value_by_value(values):
+    assert dumps_json(values) == "[" + ", ".join(_spelled(v) for v in values) + "]"
+    assert dumps_json(tuple(values)) == dumps_json(values)
+
+
+def test_dumps_json_keeps_the_spelling_of_mixed_lists():
+    payload = [1, True, None, math.nan, math.inf, -math.inf, -0.0, 0.5, False, np.int64(3), 2**70]
+    assert dumps_json(payload) == (
+        "[1, true, null, null, null, null, -0, 0.5, false, 3, 1180591620717411303424]"
+    )
+    assert dumps_json([[1.0, -0.0], [math.nan, 2]]) == "[[1, -0], [null, 2]]"
+    assert dumps_json(np.array([0.1, -0.0, np.inf])) == "[0.10000000000000001, -0, null]"
+
+
+_BAD_ENTRIES = [
+    ("true", "True"),
+    ('"a"', "'a'"),
+    ("null", "None"),
+    ("[1.0]", "[1.0]"),
+]
+
+
+def _odeco_text(alphas="1.0", factor_data="1.0, 0.0"):
+    factor = f'{{"shape": [2, 1], "data": [{factor_data}]}}'
+    return f'{{"shape": [2, 2], "alphas": [{alphas}], "factors": [{factor}, {factor}]}}'
+
+
+@pytest.mark.parametrize("entry, shown", _BAD_ENTRIES, ids=["bool", "str", "none", "list"])
+def test_number_lists_name_their_first_bad_entry(entry, shown):
+    # a later bad entry of another kind must not be the one reported
+    data = f'1.0, {entry}, 2.0, "later"'
+    with pytest.raises(ValueError) as caught:
+        loads_tensor(f'{{"shape": [2, 2], "data": [{data}]}}')
+    assert str(caught.value) == f"data: entries must be numbers, got {shown}"
+    with pytest.raises(ValueError) as caught:
+        loads_odeco(_odeco_text(alphas=data))
+    assert str(caught.value) == f"alphas: entries must be numbers, got {shown}"
+    with pytest.raises(ValueError) as caught:
+        loads_odeco(_odeco_text(factor_data=f"1.0, {entry}"))
+    assert str(caught.value) == f"data: entries must be numbers, got {shown}"
+
+
+def test_number_lists_reject_integers_beyond_binary64():
+    huge = "1" + "0" * 400
+    with pytest.raises(ValueError) as caught:
+        loads_tensor(f'{{"shape": [1, 2], "data": [1.0, {huge}]}}')
+    assert str(caught.value) == "data: entries must fit in binary64"
+    with pytest.raises(ValueError) as caught:
+        loads_odeco(_odeco_text(alphas=f"1.0, {huge}"))
+    assert str(caught.value) == "alphas: entries must fit in binary64"
+    with pytest.raises(ValueError) as caught:
+        loads_odeco(_odeco_text(factor_data=f"1.0, {huge}"))
+    assert str(caught.value) == "data: entries must fit in binary64"

@@ -194,6 +194,14 @@ class TestTupleCalculus:
         big = np.full((3, 2), 10.0)
         assert not tuple_membership(t, big, params)
 
+    def test_membership_rejects_zero_at_a_small_tuple(self):
+        # the pairing tolerance was tol * max(1, value), which accepted
+        # g = 0 at this t although it is no subgradient at any t != 0
+        params = SchattenParams(3, 2, 1)
+        for entry in (1.0, 1e-12):
+            t = [[entry, 0.0], [entry, 0.0]]
+            assert not tuple_membership(t, np.zeros((2, 2)), params)
+
     def test_conjugate_value(self):
         params = SchattenParams(2, 2, 1)
         assert conjugate_value_tuple(np.zeros((3, 2)), params) == 0.0
@@ -201,6 +209,30 @@ class TestTupleCalculus:
         boundary[0, 0] = params.lam
         assert conjugate_value_tuple(boundary, params) == 0.0
         assert conjugate_value_tuple(2.0 * boundary, params) == math.inf
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    params=st.sampled_from(PARAM_GRID_3),
+    candidate=st.sampled_from(["canonical", "doubled", "zero", "small"]),
+    exponent=st.integers(-150, 150),
+)
+def test_tuple_membership_verdict_does_not_depend_on_scale(seed, params, candidate, exponent):
+    rng = np.random.default_rng(seed)
+    t = np.abs(rng.standard_normal((3, 4)))
+    if rng.random() < 0.3:
+        t[1] = 0.0
+    if rng.random() < 0.1:
+        t[:] = 0.0
+    g = {
+        "canonical": tuple_subgradient(t, params).canonical,
+        "doubled": 2.0 * tuple_subgradient(t, params).canonical,
+        "zero": np.zeros_like(t),
+        "small": np.full_like(t, 0.01),
+    }[candidate]
+    verdict = tuple_membership(t, g, params)
+    assert tuple_membership(10.0**exponent * t, g, params) == verdict
 
 
 class TestConstruction:

@@ -308,6 +308,15 @@ class TestSymmetry:
             assert np.array_equal(got[k], symmetrize(stack[k]))
             assert np.array_equal(got[k], loop)
 
+    def test_small_asymmetric_tensor_rejected(self):
+        # the bound was tol * max(1, ||x||_F), which accepted this at 1e-11
+        x = np.random.default_rng(0).standard_normal((3, 3, 3))
+        for scale in (1.0, 1e-5, 1e-10, 1e-11, 1e-200):
+            assert not is_symmetric(scale * x)
+
+    def test_zero_tensor_is_symmetric(self):
+        assert is_symmetric(np.zeros((3, 3, 3)))
+
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError, match="cubic"):
             is_symmetric(np.ones((2, 3)))
@@ -346,3 +355,20 @@ def test_mode_mul_factorization_property(seed):
     left = matricize(mode_mul(x, mode, m), mode)
     right = m @ matricize(x, mode)
     assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, frobenius(right))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ndim=st.integers(2, 4),
+    n=st.integers(2, 3),
+    symmetric=st.booleans(),
+    exponent=st.integers(-150, 150),
+)
+def test_symmetry_verdict_does_not_depend_on_scale(seed, ndim, n, symmetric, exponent):
+    x = np.random.default_rng(seed).standard_normal((n,) * ndim)
+    if symmetric:
+        x = symmetrize(x)
+    verdict = is_symmetric(x)
+    assert verdict == symmetric
+    assert is_symmetric(10.0**exponent * x) == verdict
