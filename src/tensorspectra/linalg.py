@@ -85,8 +85,14 @@ def singular_values(mat) -> np.ndarray:
     """Singular values only, sorted descending.
 
     Accepts one matrix or a stack ``(..., m, n)``, returning ``(..., min(m, n))``.
+    A wide matrix (m < n) is decomposed as its transpose, which has the same
+    singular values: LAPACK reduces tall input by a QR first, faster than the
+    LQ-first path it takes on wide input. The values equal those of the
+    untransposed call up to rounding, not bit for bit.
     """
     m = _as_matrix(mat, stacked=True)
+    if m.shape[-2] < m.shape[-1]:
+        m = np.swapaxes(m, -1, -2)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -10,6 +10,7 @@ verifies that block structure for candidate frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,41 +69,46 @@ class EqualityStructure:
     constants: np.ndarray
 
 
+def _binary_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
+    # (t * 2^-e, e) with e from frexp(max|t|), so the largest magnitude of
+    # the copy lies in [1/2, 1); a power-of-two scaling rounds nothing unless
+    # entries leave the normal range, and a zero tensor keeps e = 0
+    e = math.frexp(float(np.max(np.abs(t), initial=0.0)))[1]
+    return np.ldexp(t, -e), e
+
+
 def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     """Inner product of a pair against its per-mode spectral bounds.
 
-    ``equality`` is true when every gap is at most tol * max(1, ||x|| ||y||).
+    The pair is decomposed as x' = 2^-a x and y' = 2^-b y, with a and b from
+    ``frexp`` of max|x| and max|y|, so the bounds and the inner product stay
+    within binary64 at either end of its range. ``equality`` is true when
+    every gap of (x', y') is at most tol * ||x'|| ||y'||. The test is
+    relative, with no absolute floor: the verdict does not depend on the
+    scale of x or of y (up to rounding; exactly for powers of two), and a
+    zero operand gives equality exactly. The inner product, bounds and gaps are
+    reported at the scale of (x, y), as those of (x', y') times 2^(a+b);
+    that scaling is exact, so a value is only changed when it leaves the
+    range of binary64 (then it is infinite).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
+    (x, a), (y, b) = _binary_scaled(x), _binary_scaled(y)
     spectra_x, spectra_y = (
         [mode_spectrum(t, d) for d in range(1, t.ndim + 1)] for t in (x, y)
     )
-    scale = max(1.0, frobenius(x) * frobenius(y))
-    return _vn_report(inner(x, y), spectra_x, spectra_y, x.shape, tol, scale)
-
-
-def _vn_report(
-    value: float, spectra_x, spectra_y, dims, tol: float, scale: float
-) -> VnReport:
-    # vn_report from value = <x, y>, scale = max(1, ||x|| ||y||) and the
-    # mode spectra of x and y, per-mode arrays or the rows of a padded
-    # _stacked_spectra entry; each bound is one np.dot over n_d entries
-    bounds = np.array(
-        [
-            float(np.dot(spectra_x[d][:n], spectra_y[d][:n]))
-            for d, n in enumerate(dims)
-        ]
-    )
+    value = inner(x, y)
+    bounds = np.array([float(np.dot(s, t)) for s, t in zip(spectra_x, spectra_y)])
     gaps = bounds - value
-    return VnReport(
-        inner=value,
-        per_mode_bound=bounds,
-        per_mode_gap=gaps,
-        equality=bool(np.max(gaps) <= tol * scale),
-    )
+    with np.errstate(over="ignore"):
+        return VnReport(
+            inner=float(np.ldexp(value, a + b)),
+            per_mode_bound=np.ldexp(bounds, a + b),
+            per_mode_gap=np.ldexp(gaps, a + b),
+            equality=bool(np.max(gaps) <= tol * (frobenius(x) * frobenius(y))),
+        )
 
 
 def find_block_partition(cx, cy, tol: float = 1e-10) -> BlockPartition:
@@ -187,7 +193,11 @@ def verify_equality_structure(
     each block the cores must be nonnegatively proportional. ``constants[b]``
     is the least-squares coefficient with cy_b ~= c * cx_b; when the cx block
     is zero the roles swap (NaN marks a zero cx block paired with a nonzero
-    cy block).
+    cy block). The cores are tested as copies scaled by powers of two to a
+    largest magnitude in [1/2, 1), with tolerances relative to those copies
+    and no absolute floor, so the verdict does not depend on the scale of
+    either core and no square overflows; each constant is scaled back
+    exactly.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
@@ -195,8 +205,9 @@ def verify_equality_structure(
         raise ValueError(f"shape: operands differ, {cx.shape} vs {cy.shape}")
     _check_partition(partition, cx.shape)
 
-    norm_x = max(1.0, frobenius(cx))
-    norm_y = max(1.0, frobenius(cy))
+    (cx, ex), (cy, ey) = _binary_scaled(cx), _binary_scaled(cy)
+    norm_x = frobenius(cx)
+    norm_y = frobenius(cy)
     inside = np.zeros(cx.shape, dtype=bool)
     constants = np.zeros(partition.n_blocks)
     ok = True
@@ -208,19 +219,20 @@ def verify_equality_structure(
         inside[grid] = True
         a = cx[grid].ravel()
         c = cy[grid].ravel()
-        na, nc = np.linalg.norm(a), np.linalg.norm(c)
+        na, nc = frobenius(a), frobenius(c)
         if na > tol * norm_x:
             coeff = float(np.dot(a, c) / np.dot(a, a))
-            residual = float(np.linalg.norm(c - coeff * a))
+            residual = frobenius(c - coeff * a)
             ok = ok and residual <= tol * norm_y and coeff >= -tol
-            constants[b] = coeff
+            with np.errstate(over="ignore"):
+                constants[b] = np.ldexp(coeff, ey - ex)
         elif nc > tol * norm_y:
             # cx vanishes on the block: 0 = 0 * cy holds, no finite x-based ratio
             constants[b] = np.nan
     ok = bool(
         ok
-        and np.linalg.norm(cx[~inside]) <= tol * norm_x
-        and np.linalg.norm(cy[~inside]) <= tol * norm_y
+        and frobenius(cx[~inside]) <= tol * norm_x
+        and frobenius(cy[~inside]) <= tol * norm_y
     )
     return ok, constants
 

@@ -125,8 +125,8 @@ def test_vn_check_frames_runs_one_structure_pass(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "kind, digest",
     [
-        ("gaussian", "41a4369637053f3212dd560e00b12262176761c81fa526fba76fd9b9432baa89"),
-        ("odeco", "81bdddb365897df4f71225d5da6c4b0acad0b91635ef086f8823bffc2a2c8f0a"),
+        ("gaussian", "60f71fd4b67945d443147683b0240f38a4303b5f357de88f3c33e4e8468fa5e5"),
+        ("odeco", "70c33def80a4b680d193d92376bddf5700132effa334b2011ad77b67f5b125b6"),
     ],
 )
 def test_vn_check_frames_stdout_is_pinned(tmp_path, kind, digest):
@@ -149,8 +149,8 @@ def test_vn_check_frames_stdout_is_pinned(tmp_path, kind, digest):
 @pytest.mark.parametrize(
     "kind, digest",
     [
-        ("gaussian", "0ef0b1f62e8750c757cd3f1df462d2ab03bb05983d4e2fa208644d9ba2b10da5"),
-        ("odeco", "affbc146e663faced4384b81603bad52972a085cd2ec7b151e51d4407110ea11"),
+        ("gaussian", "2c9362bc783ac99b93652a597fc8df7fc60deab7fc9caf4b9a0be5ac34c594ef"),
+        ("odeco", "d2dd0d9b169e1b51f3e50bc76979c760eb1d07c32b4c165b09b52ba3ade13306"),
     ],
 )
 def test_check_subgrad_stdout_is_pinned(tmp_path, kind, digest):

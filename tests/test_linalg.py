@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorspectra import (
     complete_orthonormal,
@@ -86,6 +88,33 @@ def test_singular_values_of_a_stack():
         singular_values(stack)
     with pytest.raises(ValueError, match="2-D"):
         singular_values(np.ones(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(1, 3),
+    m=st.integers(1, 7),
+    n=st.integers(1, 7),
+    rank=st.integers(0, 7),
+    exponent=st.sampled_from([-150, 0, 150]),
+)
+def test_singular_values_match_the_untransposed_svd(seed, k, m, n, rank, exponent):
+    # wide stacks are decomposed as their transposes: the same values as
+    # LAPACK on the operand as given, to within 1e-12 of each matrix's largest
+    # singular value, at full and deficient rank (rank 0 is all-zero) and at
+    # both ends of binary64
+    rng = np.random.default_rng(seed)
+    r = min(rank, m, n)
+    a = rng.standard_normal((k, m, r)) @ rng.standard_normal((k, r, n))
+    a *= 10.0**exponent
+    values = singular_values(a)
+    reference = np.linalg.svd(a, compute_uv=False)
+    assert values.shape == reference.shape == (k, min(m, n))
+    bound = 1e-12 * reference.max(axis=-1, initial=0.0)
+    assert (np.abs(values - reference).max(axis=-1, initial=0.0) <= bound).all()
+    if r == 0:
+        assert not values.any()
 
 
 def test_is_orthogonal():

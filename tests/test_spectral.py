@@ -314,6 +314,17 @@ class TestStackedSpectra:
                 assert np.max(np.abs(mode_spectrum(x, d + 1) - s)) <= 1e-14
 
 
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 2), (5, 1, 3)])
+    def test_rows_equal_mode_spectrum_bit_for_bit(self, shape):
+        # the stacked and the per-mode routine decompose the same unfolding in
+        # the same (tall) orientation
+        from tensorspectra.spectral import _stacked_spectra
+
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        padded = _stacked_spectra(x[None])[0]
+        for d, n in enumerate(shape, start=1):
+            assert np.array_equal(padded[d - 1, :n], mode_spectrum(x, d))
+
 class TestScaleSafeNorm:
     """Overflow-prone exponents on a 3^3 Gaussian tensor times 100."""
 

@@ -261,3 +261,62 @@ class TestEqualityViaStructure:
         assert _equality_structure(x, y, frames, 1e-8, report).verified
         with pytest.raises(ArithmeticError, match="inconsistent"):
             _equality_structure(x, y, frames, 1e-8, replace(report, equality=False))
+
+
+class TestScaleFreeVerdicts:
+    """The equality verdicts do not change under x -> s x, y -> t y, s, t > 0."""
+
+    X = np.random.default_rng(0).standard_normal((3, 3, 3))
+    ROTATED = multi_mode_mul(X, [random_orthogonal(3, s) for s in (1, 2, 3)])
+    REP = random_odeco((3, 3, 3), 3, 5)
+    SHARED_X = to_dense(REP)
+    SHARED_Y = to_dense(make_odeco([3.0, 2.0, 0.5], REP.factors))
+    FRAMES = [complete_orthonormal(f) for f in REP.factors]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-6, 1e-150, 1e150, 1e160])
+    def test_rotated_pair_is_rejected_at_every_scale(self, scale):
+        # an absolute floor on the tolerance accepted this pair from 1e-6 on,
+        # and at 1e160 the unscaled bounds overflowed to NaN gaps
+        report = vn_report(scale * self.X, scale * self.ROTATED)
+        assert not report.equality
+        assert (report.per_mode_gap > 0.0).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150, 1e160])
+    def test_shared_frame_pair_is_accepted_at_every_scale(self, scale):
+        x, y = scale * self.SHARED_X, scale * self.SHARED_Y
+        assert vn_report(x, y, 1e-8).equality
+        assert check_equality_via_structure(x, y, self.FRAMES, 1e-8)
+
+    def test_structure_constants_at_1e160(self):
+        # the coefficient and residuals were computed from squared entries,
+        # which overflow at this scale and rejected the proportional cores
+        transposed = [w.T for w in self.FRAMES]
+        cx = multi_mode_mul(self.SHARED_X, transposed)
+        cy = multi_mode_mul(self.SHARED_Y, transposed)
+        partition = find_block_partition(cx, cy, 1e-8)
+        ok, constants = verify_equality_structure(cx, cy, partition, 1e-8)
+        assert ok
+        for scale_x, scale_y in ((1e160, 1e160), (1e160, 1.0), (1.0, 1e160)):
+            big_ok, big = verify_equality_structure(
+                scale_x * cx, scale_y * cy, partition, 1e-8
+            )
+            assert big_ok
+            assert big == pytest.approx(constants * (scale_y / scale_x), rel=1e-12)
+
+    def test_zero_operands_give_equality_exactly(self):
+        zero = np.zeros((3, 3, 3))
+        for x, y in ((zero, self.X), (self.X, zero), (zero, zero)):
+            report = vn_report(x, y, tol=0.0)
+            assert report.equality
+            assert report.inner == 0.0
+            assert not report.per_mode_gap.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.integers(-150, 150), t=st.integers(-150, 150), shared=st.booleans())
+def test_equality_verdict_does_not_depend_on_scale(s, t, shared):
+    case = TestScaleFreeVerdicts
+    x, y = (case.SHARED_X, case.SHARED_Y) if shared else (case.X, case.ROTATED)
+    x, y = 10.0**s * x, 10.0**t * y
+    assert vn_report(x, y, 1e-8).equality is shared
+    assert check_equality_via_structure(x, y, case.FRAMES, 1e-8) is shared
