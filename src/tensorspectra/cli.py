@@ -17,19 +17,8 @@ import numpy as np
 from . import serialize
 from .linalg import SvdConvergenceError
 from .odeco import random_odeco, random_symmetric_odeco
-from .spectral import (
-    SchattenParams,
-    all_mode_spectra,
-    combined_spectrum,
-    hosvd,
-    schatten_norm,
-)
-from .subdiff import (
-    _spectral_dual_ratio,
-    check_membership,
-    estimate_tensor_conjugate,
-    schatten_subgradient,
-)
+from .spectral import SchattenParams, _combined, all_mode_spectra, hosvd, schatten_norm
+from .subdiff import check_membership, estimate_tensor_conjugate, schatten_subgradient
 from .tensor import symmetrize
 from .vonneumann import _equality_structure, vn_report
 
@@ -184,11 +173,11 @@ def _cmd_hosvd(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    x = serialize.load_dense(args.path)
+    spectra = all_mode_spectra(serialize.load_dense(args.path))
     _emit(
         {
-            "per_mode": [s.tolist() for s in all_mode_spectra(x)],
-            "combined": [s.tolist() for s in combined_spectrum(x)],
+            "per_mode": [s.tolist() for s in spectra],
+            "combined": [s.tolist() for s in _combined(spectra)],
         }
     )
     return 0
@@ -264,23 +253,14 @@ def _cmd_vn_check(args) -> int:
 def _cmd_conjugate_check(args) -> int:
     x = serialize.load_dense(args.path)
     params = _resolve_params(args, x.ndim)
-    ratio = _spectral_dual_ratio(x, params)
     estimate = estimate_tensor_conjugate(
         x, params, budget=args.budget, seed=args.seed
     )
-    # ratio <= 1 proves x inside the dual ball and a positive value (a
-    # certificate) proves it outside; otherwise it is unknown, because off
-    # odeco points the ratio only bounds the dual norm from above
-    inside = None
-    if ratio <= 1.0:
-        inside = True
-    elif estimate.best_value > 0.0:
-        inside = False
     payload = {
         "best_value": estimate.best_value,
         "evaluations": estimate.evaluations,
-        "spectral_dual_ratio": ratio,
-        "inside_dual_ball": inside,
+        "spectral_dual_ratio": estimate.spectral_dual_ratio,
+        "inside_dual_ball": estimate.inside_dual_ball,
     }
     if estimate.best_value > 0.0:
         payload["certificate"] = {

@@ -24,10 +24,6 @@ _SIGN_EPS = 1e-12
 class SvdConvergenceError(RuntimeError):
     """The iterative SVD backend failed to converge."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class SvdResult:

@@ -175,11 +175,15 @@ def all_mode_spectra(x) -> list[np.ndarray]:
     return [padded[d, :n] for d, n in enumerate(x.shape)]
 
 
+def _combined(spectra: list[np.ndarray]) -> list[np.ndarray]:
+    # the D mode spectra of a tensor, already computed, scaled by 1/sqrt(D)
+    scale = 1.0 / np.sqrt(len(spectra))
+    return [scale * s for s in spectra]
+
+
 def combined_spectrum(x) -> list[np.ndarray]:
     """All mode spectra scaled by 1/sqrt(D)."""
-    x = np.asarray(x, dtype=float)
-    scale = 1.0 / np.sqrt(x.ndim)
-    return [scale * s for s in all_mode_spectra(x)]
+    return _combined(all_mode_spectra(x))
 
 
 def schatten_norm(x, params: SchattenParams) -> float:

@@ -133,24 +133,31 @@ def dual_vector_maximizer(s, p: float) -> DualMaximizer:
     return DualMaximizer(v, np.zeros(s.size, dtype=bool), False)
 
 
-def _tuple_rows(t, name: str = "tuple") -> list[np.ndarray]:
-    if isinstance(t, np.ndarray) and t.ndim == 2:
-        rows = [np.asarray(r, dtype=float) for r in t]
-    else:
-        rows = [np.atleast_1d(np.asarray(r, dtype=float)) for r in t]
-    if len(rows) < 2:
+def _tuple_array(t, name: str = "tuple") -> np.ndarray:
+    # D >= 2 mode vectors of one common nonzero length as one (D, n) float
+    # array; a sequence of numbers is a tuple of 1-vectors
+    try:
+        rows = np.asarray(t, dtype=float)
+    except ValueError:  # rows of different lengths fail the check below
+        rows = np.empty((2, 0))
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    if rows.ndim < 2 or len(rows) < 2:
         raise ValueError(f"{name}: need one vector per mode (D >= 2)")
-    length = rows[0].size
-    for r in rows:
-        if r.ndim != 1 or r.size != length or r.size == 0:
-            raise ValueError(f"{name}: vectors must share a common nonzero length")
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError(f"{name}: vectors must share a common nonzero length")
     return rows
+
+
+def _dual_norms(stack: np.ndarray, params: SchattenParams) -> np.ndarray:
+    # the dual of the tuple norm at lam = 1, the mixed l_{p*}/l_{q*} norm,
+    # over the last two axes of a stack of tuples
+    duals = DualExponents.of(params)
+    return _mixed_norm(stack, duals.p_star, duals.q_star)
 
 
 def schatten_value_tuple(t, params: SchattenParams) -> float:
     """The tuple norm lam * (sum_d ||s_d||_p^q)^(1/q) on raw spectra tuples."""
-    rows = np.vstack(_tuple_rows(t))
-    return params.lam * float(_mixed_norm(rows, params.p, params.q))
+    return float(_schatten_norms(_tuple_array(t), params))
 
 
 @dataclass(frozen=True)
@@ -178,12 +185,11 @@ def tuple_subgradient(t, params: SchattenParams) -> TupleSubgradient:
     Built from the nested dual maximizers: v_d for each row at exponent p,
     then w for the vector of row norms at exponent q.
     """
-    rows = _tuple_rows(t)
-    stacked = np.vstack(rows)
-    if np.any(stacked < 0):
+    rows = _tuple_array(t)
+    if np.any(rows < 0):
         raise ValueError("tuple: entries must be nonnegative")
-    ndim, n = stacked.shape
-    if not stacked.any():
+    ndim, n = rows.shape
+    if not rows.any():
         return TupleSubgradient(
             canonical=np.zeros((ndim, n)),
             weights=np.zeros(ndim),
@@ -213,20 +219,18 @@ def tuple_membership(t, g, params: SchattenParams, tol: float = 1e-9) -> bool:
     of its terms, with no absolute floor, so scaling t changes no verdict;
     at t = 0 the dual bound alone decides.
     """
-    rows_t = _tuple_rows(t, "t")
-    rows_g = _tuple_rows(g, "g")
-    if len(rows_g) != len(rows_t) or rows_g[0].size != rows_t[0].size:
+    t = _tuple_array(t, "t")
+    g = _tuple_array(g, "g")
+    if g.shape != t.shape:
         raise ValueError("g: must match the shape of t")
-    if any(np.any(r < 0) for r in rows_t):
+    if np.any(t < 0):
         raise ValueError("t: entries must be nonnegative")
-    duals = DualExponents.of(params)
-    in_dual_ball = mixed_norm(rows_g, duals.p_star, duals.q_star) <= params.lam * (1.0 + tol)
-    t_stack, g_stack = np.vstack(rows_t), np.vstack(rows_g)
-    if not t_stack.any():
+    in_dual_ball = bool(_dual_norms(g, params) <= params.lam * (1.0 + tol))
+    if not t.any():
         return in_dual_ball
-    value = schatten_value_tuple(rows_t, params)
-    pairing = float(np.sum(g_stack * t_stack))
-    terms = float(np.sum(np.abs(g_stack) * t_stack))
+    value = float(_schatten_norms(t, params))
+    pairing = float(np.sum(g * t))
+    terms = float(np.sum(np.abs(g) * t))
     return abs(pairing - value) <= tol * terms and in_dual_ball
 
 
@@ -254,11 +258,9 @@ def schatten_subgradient(rep: OdecoRep, params: SchattenParams) -> np.ndarray:
 
 
 def _spectral_dual_ratio(x: np.ndarray, params: SchattenParams) -> float:
-    # mixed l_{p*}/l_{q*} norm of the mode spectra over lam * D: at most 1
-    # exactly when x lies in the dual unit ball of the norm
-    duals = DualExponents.of(params)
-    spectra = _stacked_spectra(x[None])[0]
-    return float(_mixed_norm(spectra, duals.p_star, duals.q_star)) / (params.lam * x.ndim)
+    # the dual tuple norm of x's mode spectra over lam * D: at most 1 exactly
+    # when x lies in the dual unit ball of the norm
+    return float(_dual_norms(_stacked_spectra(x[None])[0], params)) / (params.lam * x.ndim)
 
 
 @dataclass(frozen=True)
@@ -284,11 +286,13 @@ def check_membership(
     """Certify ``y`` as a subgradient of the norm at ``x``.
 
     Conditions: (i) equality in every per-mode trace inequality, (ii)
-    <x, y> = N(x) up to tol * max(1, ||x|| ||y||), (iii) mixed conjugate
-    norm of y's spectra at most lam * D * (1 + tol). Acceptance requires all
-    three. Only (ii) is necessary, and (ii) with (iii) is sufficient, since
-    (iii) bounds y's dual norm from above: an acceptance is a proof, and a
-    rejection with (ii) holding is not final.
+    <x, y> = N(x) up to tol * ||x|| ||y||, (iii) mixed conjugate norm of y's
+    spectra at most lam * D * (1 + tol). Acceptance requires all three. Only
+    (ii) is necessary, and (ii) with (iii) is sufficient, since (iii) bounds
+    y's dual norm from above: an acceptance is a proof, and a rejection with
+    (ii) holding is not final. The tolerance of (ii) has no floor and is
+    compared on frexp parts, so it neither overflows nor underflows: scaling
+    x changes no verdict, and y = 0 fails at every x != 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -296,16 +300,18 @@ def check_membership(
         raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
     report = vn_report(x, y, tol)
     norm_x = schatten_norm(x, params)
-    pairing = inner(x, y)
-    scale = max(1.0, frobenius(x) * frobenius(y))
+    residual = abs(inner(x, y) - norm_x)
+    (mx, ex), (my, ey) = math.frexp(frobenius(x)), math.frexp(frobenius(y))
     dual_value = _spectral_dual_ratio(y, params)
     vn_ok = report.equality
-    pairing_ok = abs(pairing - norm_x) <= tol * scale
+    # residual <= tol ||x|| ||y|| on frexp parts; a scaled overflow fails
+    with np.errstate(over="ignore", under="ignore"):
+        pairing_ok = bool(np.ldexp(residual, -(ex + ey)) <= tol * mx * my)
     dual_ok = dual_value <= 1.0 + tol
     accepted = vn_ok and pairing_ok and dual_ok
     return MembershipCertificate(
         vn_gaps=report.per_mode_gap,
-        pairing_residual=abs(pairing - norm_x),
+        pairing_residual=residual,
         dual_norm_value=dual_value,
         accepted=accepted,
         notes={
@@ -505,9 +511,7 @@ def subgradient_inequality_test(
 
 def conjugate_value_tuple(g, params: SchattenParams) -> float:
     """Fenchel conjugate of the tuple norm: 0 inside the dual ball, inf outside."""
-    rows = _tuple_rows(g, "g")
-    duals = DualExponents.of(params)
-    if mixed_norm(rows, duals.p_star, duals.q_star) <= params.lam:
+    if _dual_norms(_tuple_array(g, "g"), params) <= params.lam:
         return 0.0
     return math.inf
 
@@ -519,12 +523,24 @@ class ConjugateEstimate:
     ``evaluations`` counts the candidates y whose objective was computed:
     y = 0, the aligned certificate, the Gaussian probes and the rescaled
     maximizer, each phase only when it runs. It is 1 when the spectral dual
-    ratio of x is at most 1, which proves y = 0 optimal.
+    ratio of x is at most 1, which proves y = 0 optimal. That ratio is
+    ``spectral_dual_ratio``. ``inside_dual_ball`` is True when it is at most
+    1, False when a positive value (a certificate) proves x outside the dual
+    ball, and None otherwise: off odeco points the ratio is an upper bound.
     """
 
     best_value: float
     maximizer: np.ndarray
     evaluations: int
+    spectral_dual_ratio: float
+
+    @property
+    def inside_dual_ball(self) -> bool | None:
+        if self.spectral_dual_ratio <= 1.0:
+            return True
+        if self.best_value > 0.0:
+            return False
+        return None
 
 
 def estimate_tensor_conjugate(
@@ -569,8 +585,9 @@ def estimate_tensor_conjugate(
     evals = 1  # y = 0
 
     # <x, y> - N(y) <= N(y) (ratio - 1) for every y, so y = 0 is optimal
-    if _spectral_dual_ratio(x, params) <= 1.0:
-        return ConjugateEstimate(best_value=best, maximizer=best_y, evaluations=evals)
+    ratio = _spectral_dual_ratio(x, params)
+    if ratio <= 1.0:
+        return ConjugateEstimate(best, best_y, evals, ratio)
 
     def done() -> bool:
         return evals >= budget or (target is not None and best >= target)
@@ -618,4 +635,4 @@ def estimate_tensor_conjugate(
             best = value
             best_y = scaled
 
-    return ConjugateEstimate(best_value=float(best), maximizer=best_y, evaluations=evals)
+    return ConjugateEstimate(float(best), best_y, evals, ratio)

@@ -262,7 +262,8 @@ def dual_ratio(x, params):
     )
 
 
-def test_conjugate_check(tmp_path):
+def _conjugate_inputs(tmp_path):
+    """(path, flags, params, inside) of the four conjugate-check inputs."""
     rep_path = tmp_path / "odeco.json"
     invoke(
         ["gen", "--kind", "odeco", "--shape", "3x3x3", "--rank", "2", "--seed", "4", "--out", str(rep_path)]
@@ -283,12 +284,16 @@ def test_conjugate_check(tmp_path):
     # inside the dual ball (proven by the ratio), outside (proven by a
     # certificate), a Gaussian point at ratio 1.2 that the ratio does not
     # decide and the probes do not certify, and the tied point: unknown
-    for path, flags, params, inside in (
+    return [
         (rep_path, ["--p", "1", "--q", "1", "--lambda", "auto"], nuclear, True),
         (rep_path, ["--p", "3", "--q", "2", "--lambda", "0.2"], SchattenParams(3, 2, 0.2), False),
         (near_path, ["--p", "3", "--q", "2", "--lambda", "1"], near_params, None),
         (tied_path, ["--p", "1", "--q", "1", "--lambda", "auto"], nuclear, None),
-    ):
+    ]
+
+
+def test_conjugate_check(tmp_path):
+    for path, flags, params, inside in _conjugate_inputs(tmp_path):
         x = load_dense(path)
         code, payload = invoke(
             ["conjugate-check", *flags, "--in", str(path), "--budget", "2000", "--seed", "0"]
@@ -311,6 +316,49 @@ def test_conjugate_check(tmp_path):
             y = np.array(payload["certificate"]["data"]).reshape(x.shape)
             attained = inner(x, y) - schatten_norm(y, params)
             assert attained == pytest.approx(payload["best_value"], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    enumerate(
+        [
+            "8da25a073ddcb33452b65e099cd1a613730110beaa6735a7c33f7a73bbad5a46",
+            "60c78fa7736bdfcd2b202ba493e87e8f2bc9e0c8ef88a088dcd88b3100ead895",
+            "e5148b0d14fb314cebd95d9f92c74d430cdc3cfc16ed9ae169b7ca7e718a3202",
+            "08d5152da5e104025c8c08aeabf1551cd1d76501562c6a0ecbf958766808e413",
+        ]
+    ),
+    ids=["inside", "outside", "near", "tied"],
+)
+def test_conjugate_check_stdout_is_pinned(tmp_path, case, digest):
+    # the four inputs of test_conjugate_check: inside, outside (with its
+    # certificate), and two that neither the ratio nor the probes decide
+    path, flags, _, _ = _conjugate_inputs(tmp_path)[case]
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = run(
+            ["conjugate-check", *flags, "--in", str(path), "--budget", "2000", "--seed", "0"]
+        )
+    assert code == 0
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("gaussian", "9793906abb14a50c51a6aa4c7f98903c5310a4c3157dfa86c60a6cfef97a1219"),
+        ("odeco", "3009ac90760f964a1444c694818f292863b2f4e3c8028113ea34dfab41a47768"),
+    ],
+)
+def test_spectrum_stdout_is_pinned(tmp_path, kind, digest):
+    # per-mode and combined spectra of a 3x4x5 tensor from gen
+    x_path = tmp_path / "x.json"
+    assert invoke(["gen", "--kind", kind, "--shape", "3x4x5", "--out", str(x_path)])[0] == 0
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = run(["spectrum", "--in", str(x_path)])
+    assert code == 0
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
 
 
 def test_usage_errors_exit_two():

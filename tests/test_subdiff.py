@@ -235,6 +235,38 @@ def test_tuple_membership_verdict_does_not_depend_on_scale(seed, params, candida
     assert tuple_membership(10.0**exponent * t, g, params) == verdict
 
 
+@pytest.mark.parametrize(
+    "func", [schatten_value_tuple, tuple_subgradient, tuple_membership, conjugate_value_tuple]
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[1.0, 2.0]], "one vector per mode"),
+        ([[1.0, 2.0], [3.0]], "common nonzero length"),
+        (np.zeros((2, 0)), "common nonzero length"),
+        (np.ones((3, 2)), "must match the shape of t"),
+        ([[1.0, -1.0], [1.0, 1.0]], "must be nonnegative"),
+    ],
+)
+def test_tuple_functions_validate_their_tuples(func, bad, message):
+    # every tuple function needs D >= 2 rows of one common nonzero length;
+    # only membership compares against a second tuple (here 2x2), and only
+    # the subgradient and membership need a nonnegative point
+    params = SchattenParams(2, 2, 1)
+    args = (bad, np.ones((2, 2)), params) if func is tuple_membership else (bad, params)
+    raises = (
+        "length" in message
+        or "per mode" in message
+        or func is tuple_membership
+        or (func is tuple_subgradient and "nonnegative" in message)
+    )
+    if raises:
+        with pytest.raises(ValueError, match=message):
+            func(*args)
+    else:
+        func(*args)
+
+
 class TestConstruction:
     def test_nuclear_diag_example(self):
         rep = make_odeco([2.0, 1.0], [np.eye(2)] * 3)
@@ -321,6 +353,40 @@ class TestMembership:
         params = SchattenParams(2, 2, 1)
         assert not check_membership(dense, y, params).accepted
         assert not check_membership(1e300 * dense, y, params).accepted
+
+
+    def test_small_point_rejects_zero_and_half_its_subgradient(self):
+        # the pairing tolerance was tol * max(1, ||x|| ||y||), and its floor
+        # of 1e-8 let through the residuals of y = 0 (2.7e-10) and g/2
+        # (1.3e-10) at this point; 0 is a subgradient only at x = 0
+        rep = random_odeco((3, 3, 3), 3, 5)
+        small = make_odeco(1e-10 * rep.alphas, rep.factors, rep.shape)
+        params = SchattenParams(3, 2, 1)
+        dense, g = to_dense(small), schatten_subgradient(small, params)
+        assert check_membership(dense, g, params).accepted
+        for y in (0.5 * g, np.zeros_like(g)):
+            certificate = check_membership(dense, y, params)
+            assert not certificate.accepted
+            assert not certificate.notes["pairing"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(3, 3, 3), (2, 3, 4), (4, 4)]),
+    params=st.sampled_from(PARAM_GRID_3),
+    exponent=st.integers(-150, 150),
+)
+def test_membership_verdicts_do_not_depend_on_the_scale_of_x(seed, shape, params, exponent):
+    # N is positively homogeneous, so its subdifferential at s x is the one
+    # at x for every s > 0; y is not scaled, since membership of t y does
+    # depend on t
+    rep = random_odeco(shape, min(shape), seed)
+    dense, g = to_dense(rep), schatten_subgradient(rep, params)
+    for y in (g, 0.5 * g, np.zeros_like(g)):
+        verdict = check_membership(dense, y, params).accepted
+        assert verdict == (y is g)
+        assert check_membership(10.0**exponent * dense, y, params).accepted == verdict
 
 
 class TestSamplingOracle:
@@ -586,6 +652,21 @@ class TestConjugateEstimate:
             estimate.maximizer, params
         )
         assert attained == pytest.approx(estimate.best_value, rel=1e-9)
+
+    @pytest.mark.parametrize("scale, inside", [(0.9, True), (1.1, False), (1.2, None)])
+    def test_verdict_reads_the_stored_ratio_and_value(self, scale, inside):
+        # inside by the ratio, outside by the aligned certificate, and a
+        # Gaussian point that neither the ratio nor 400 probes decide
+        params = SchattenParams(3, 2, 1)
+        if inside is None:
+            x = np.random.default_rng(1).standard_normal((3, 4, 5))
+        else:
+            x = to_dense(random_odeco((3, 3, 3), 3, 51))
+        x = x * (scale / subdiff._spectral_dual_ratio(x, params))
+        estimate = estimate_tensor_conjugate(x, params, budget=2_000)
+        assert estimate.spectral_dual_ratio == subdiff._spectral_dual_ratio(x, params)
+        assert estimate.inside_dual_ball is inside
+        assert (estimate.best_value > 0.0) == (inside is False)
 
 
 class TestExponentValidation:
