@@ -66,15 +66,23 @@ def svd(mat) -> SvdResult:
         u, s, vt = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"svd did not converge: {exc}") from exc
-    k = s.size
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        anchors = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if anchors.size and col[anchors[0]] < 0:
-            u[:, j] = -col
-            if j < k:
-                vt[j, :] = -vt[j, :]
+    _anchor_signs(u, vt)
     return SvdResult(u=u, singular_values=s, vt=vt)
+
+
+def _anchor_signs(u: np.ndarray, vt: np.ndarray) -> None:
+    # flip in place every column of u whose first entry above _SIGN_EPS in
+    # magnitude is negative, with the matching row of vt; argmax finds that
+    # entry in all columns at once, and a column with none reads row 0,
+    # whose magnitude is then at most _SIGN_EPS, so it never flips
+    if u.size == 0:
+        return
+    first = np.argmax(np.abs(u) > _SIGN_EPS, axis=0)
+    flip = u[first, np.arange(u.shape[1])] < -_SIGN_EPS
+    signs = np.where(flip, -1.0, 1.0)
+    u *= signs
+    k = min(u.shape[1], vt.shape[0])
+    vt[:k] *= signs[:k, None]
 
 
 def singular_values(mat) -> np.ndarray:

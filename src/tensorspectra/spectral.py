@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import singular_values, svd
-from .tensor import _unfold, matricize, multi_mode_mul
+from .tensor import _check_shape, _unfold, matricize, multi_mode_mul
 
 __all__ = [
     "Hosvd",
@@ -94,6 +94,7 @@ def hosvd(x) -> Hosvd:
     discarded.
     """
     x = np.asarray(x, dtype=float)
+    _check_shape(x.shape)
     factors = tuple(
         svd(_left_svd_operand(matricize(x, d))).u for d in range(1, x.ndim + 1)
     )
@@ -113,6 +114,7 @@ def mode_spectrum(x, mode: int) -> np.ndarray:
     are comparable across modes.
     """
     x = np.asarray(x, dtype=float)
+    _check_shape(x.shape)
     vals = singular_values(matricize(x, mode))
     n = x.shape[mode - 1]
     if vals.size < n:
@@ -133,6 +135,34 @@ def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
         vals = singular_values(_unfold(stack, d))
         out[:, d - 1, : vals.shape[-1]] = vals
     return out
+
+
+# ((shape, bytes), spectra) of the last tensor decomposed alone by _spectra;
+# replaced whole by one assignment, so a reader never sees a torn pair
+_last_spectra: tuple | None = None
+
+
+def _spectra(x) -> np.ndarray:
+    """Read-only ``(D, max n)`` padded mode spectra of one tensor.
+
+    Equal to ``_stacked_spectra(x[None])[0]``. The last tensor decomposed
+    here is kept with its spectra, keyed on its shape and bytes: a call on
+    the same bits returns the stored array, so consecutive requests on one
+    tensor (a norm over a parameter grid, spectra then a norm) decompose it
+    once. Bytes, not float equality, decide a hit, so -0.0 and 0.0 differ
+    and a tensor changed in place misses.
+    """
+    global _last_spectra
+    x = np.asarray(x, dtype=float)
+    _check_shape(x.shape)
+    key = (x.shape, x.tobytes())
+    last = _last_spectra
+    if last is not None and last[0] == key:
+        return last[1]
+    spectra = _stacked_spectra(x[None])[0]
+    spectra.flags.writeable = False
+    _last_spectra = (key, spectra)
+    return spectra
 
 
 def _lp(a: np.ndarray, p: float) -> np.ndarray:
@@ -169,9 +199,13 @@ def _schatten_norms(spectra: np.ndarray, params: SchattenParams) -> np.ndarray:
 
 
 def all_mode_spectra(x) -> list[np.ndarray]:
-    """Mode spectra for every mode d = 1..D, as views of one padded array."""
+    """Mode spectra for every mode d = 1..D, as views of one padded array.
+
+    The array is a writable copy of the spectra that the norms reuse (see
+    :func:`schatten_norm`), so writing to it changes no later result.
+    """
     x = np.asarray(x, dtype=float)
-    padded = _stacked_spectra(x[None])[0]
+    padded = _spectra(x).copy()
     return [padded[d, :n] for d, n in enumerate(x.shape)]
 
 
@@ -187,14 +221,20 @@ def combined_spectrum(x) -> list[np.ndarray]:
 
 
 def schatten_norm(x, params: SchattenParams) -> float:
-    """λ (Σ_d ||σ_d(x)||_p^q)^(1/q) over the per-mode spectra of ``x``."""
-    spectra = _stacked_spectra(np.asarray(x, dtype=float)[None])
-    return float(_schatten_norms(spectra, params)[0])
+    """λ (Σ_d ||σ_d(x)||_p^q)^(1/q) over the per-mode spectra of ``x``.
+
+    The spectra come from the one-tensor memo that :func:`all_mode_spectra`
+    and the dual ratio share: norms of one tensor at several parameters, or
+    after its spectra, decompose it once. The values are bit for bit those
+    of a fresh decomposition.
+    """
+    return float(_schatten_norms(_spectra(x)[None], params)[0])
 
 
 def nuclear_norm(x) -> float:
     """Average of the per-mode singular value sums: (1/D) Σ_d ||σ_d(x)||_1."""
     x = np.asarray(x, dtype=float)
+    _check_shape(x.shape)
     return schatten_norm(x, SchattenParams.nuclear(x.ndim))
 
 

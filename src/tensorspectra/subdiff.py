@@ -25,11 +25,12 @@ from .spectral import (
     SchattenParams,
     _mixed_norm,
     _schatten_norms,
+    _spectra,
     _stacked_spectra,
     hosvd,
     schatten_norm,
 )
-from .tensor import _symmetrize_stack, frobenius, inner, multi_mode_mul
+from .tensor import _check_shape, _symmetrize_stack, frobenius, inner, multi_mode_mul
 from .vonneumann import vn_report
 
 __all__ = [
@@ -258,9 +259,15 @@ def schatten_subgradient(rep: OdecoRep, params: SchattenParams) -> np.ndarray:
 
 
 def _spectral_dual_ratio(x: np.ndarray, params: SchattenParams) -> float:
-    # the dual tuple norm of x's mode spectra over lam * D: at most 1 exactly
-    # when x lies in the dual unit ball of the norm
-    return float(_dual_norms(_stacked_spectra(x[None])[0], params)) / (params.lam * x.ndim)
+    """The dual tuple norm of x's mode spectra over lam * D.
+
+    It bounds the dual norm of x from above, with equality at odeco points,
+    so x lies in the dual unit ball of the norm when it is at most 1. The
+    spectra come from the one-tensor memo behind
+    :func:`~tensorspectra.spectral.schatten_norm`, so a ratio after a norm
+    of the same tensor (or the reverse) decomposes it once.
+    """
+    return float(_dual_norms(_spectra(x), params)) / (params.lam * x.ndim)
 
 
 @dataclass(frozen=True)
@@ -475,6 +482,7 @@ def subgradient_inequality_test(
     if trials < 1:
         raise ValueError("trials: need at least one sample")
     dims = x.shape
+    _check_shape(dims)
     rng = np.random.default_rng([seed, 104729])
 
     specials = [np.multiply.outer(_SPECIAL_SCALES, x)]

@@ -43,13 +43,18 @@ def as_tensor(data, shape=None) -> np.ndarray:
                 f"data: got {arr.size} entries, shape {list(dims)} needs {count}"
             )
         arr = arr.reshape(dims)
-    if arr.ndim < 2:
-        raise ValueError("shape: a tensor needs at least 2 modes")
-    if arr.size == 0:
-        raise ValueError("shape: mode sizes must be positive")
+    _check_shape(arr.shape)
     if not np.isfinite(arr).all():
         raise ValueError("data: entries must be finite")
     return np.ascontiguousarray(arr)
+
+
+def _check_shape(shape: tuple[int, ...]) -> None:
+    # the library's domain: at least two modes, each of positive size
+    if len(shape) < 2:
+        raise ValueError("shape: a tensor needs at least 2 modes")
+    if min(shape) < 1:
+        raise ValueError("shape: mode sizes must be positive")
 
 
 def _mode_axis(ndim: int, mode: int) -> int:

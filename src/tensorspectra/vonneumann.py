@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import is_orthogonal
 from .spectral import mode_spectrum
-from .tensor import frobenius, inner, multi_mode_mul
+from .tensor import _check_shape, frobenius, inner, multi_mode_mul
 
 __all__ = [
     "VnReport",
@@ -95,6 +95,7 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
+    _check_shape(x.shape)
     (x, a), (y, b) = _binary_scaled(x), _binary_scaled(y)
     spectra_x, spectra_y = (
         [mode_spectrum(t, d) for d in range(1, t.ndim + 1)] for t in (x, y)

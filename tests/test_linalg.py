@@ -10,7 +10,7 @@ from tensorspectra import (
     singular_values,
     svd,
 )
-from tensorspectra.linalg import _random_orthogonals
+from tensorspectra.linalg import _SIGN_EPS, _anchor_signs, _random_orthogonals
 
 
 def test_svd_diagonal():
@@ -48,6 +48,49 @@ def test_svd_sign_convention():
             col = result.u[:, j]
             anchors = np.nonzero(np.abs(col) > 1e-12)[0]
             assert anchors.size == 0 or col[anchors[0]] >= 0
+
+
+def _column_loop_signs(u, vt):
+    # the per-column reference for the sign convention, on copies
+    u, vt = u.copy(), vt.copy()
+    k = min(u.shape[1], vt.shape[0])
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        anchors = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
+        if anchors.size and col[anchors[0]] < 0:
+            u[:, j] = -col
+            if j < k:
+                vt[j, :] = -vt[j, :]
+    return u, vt
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 9),
+    n=st.integers(1, 9),
+    tiny_columns=st.integers(0, 9),
+)
+def test_sign_convention_equals_the_column_loop(seed, m, n, tiny_columns):
+    # entries of magnitude 1, near the anchor threshold, below it and signed
+    # zeros, and whole columns below the threshold, which keep their signs
+    rng = np.random.default_rng(seed)
+    scales = rng.choice([1.0, 2.0 * _SIGN_EPS, _SIGN_EPS, 0.5 * _SIGN_EPS, 0.0], (m, m))
+    u = rng.standard_normal((m, m)) * scales * rng.choice([1.0, -1.0], (m, m))
+    u[:, : min(tiny_columns, m)] *= 0.5 * _SIGN_EPS
+    vt = rng.standard_normal((n, n))
+    expected_u, expected_vt = _column_loop_signs(u, vt)
+    _anchor_signs(u, vt)
+    assert u.tobytes() == expected_u.tobytes()
+    assert vt.tobytes() == expected_vt.tobytes()
+    # and svd applies exactly that convention to LAPACK's factors
+    a = rng.standard_normal((m, n)) * scales[:, :1]
+    result = svd(a)
+    raw_u, raw_s, raw_vt = np.linalg.svd(a, full_matrices=True)
+    expected_u, expected_vt = _column_loop_signs(raw_u, raw_vt)
+    assert result.u.tobytes() == expected_u.tobytes()
+    assert result.vt.tobytes() == expected_vt.tobytes()
+    assert result.singular_values.tobytes() == raw_s.tobytes()
 
 
 def test_svd_deterministic():

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from tensorspectra import (
     SchattenParams,
     all_mode_spectra,
+    check_membership,
     combined_spectrum,
     core_orthogonality_report,
+    estimate_tensor_conjugate,
     frobenius,
     hosvd,
     hosvd_reconstruct,
@@ -23,8 +25,10 @@ from tensorspectra import (
     outer,
     random_odeco,
     schatten_norm,
+    subgradient_inequality_test,
     symmetrize,
     to_dense,
+    vn_report,
 )
 
 
@@ -370,3 +374,148 @@ def test_norm_scale_safe_property(p_exp, q_exp, scale_exp, shape, seed):
     for d, s in enumerate(spectra):
         padded[d, : s.size] = s
     assert schatten_value_tuple(padded, params) == pytest.approx(value, rel=1e-12)
+
+
+class TestSpectraMemo:
+    """The one-tensor memo behind the norms, ``all_mode_spectra`` and the dual ratio."""
+
+    @staticmethod
+    def fresh(x):
+        from tensorspectra.spectral import _stacked_spectra
+
+        return _stacked_spectra(x[None])[0]
+
+    def test_hit_returns_the_stored_bits(self):
+        from tensorspectra.spectral import _spectra
+
+        x = np.random.default_rng(40).standard_normal((3, 4, 5))
+        first = _spectra(x)
+        hit = _spectra(x.copy())
+        assert hit is first
+        assert not hit.flags.writeable
+        assert hit.tobytes() == self.fresh(x).tobytes()
+
+    def test_an_in_place_change_misses(self):
+        from tensorspectra.spectral import _spectra
+
+        x = np.random.default_rng(41).standard_normal((3, 4, 5))
+        before = _spectra(x).copy()
+        x[0, 0, 0] += 1.0
+        after = _spectra(x)
+        assert after.tobytes() == self.fresh(x).tobytes()
+        assert not np.array_equal(after, before)
+
+    def test_signed_zeros_are_distinct_keys(self):
+        from tensorspectra.spectral import _spectra
+
+        x = np.random.default_rng(42).standard_normal((3, 3, 3))
+        x[1, 2, 0] = 0.0
+        y = x.copy()
+        y[1, 2, 0] = -0.0
+        assert np.array_equal(x, y)
+        first = _spectra(x)
+        assert _spectra(y) is not first
+        assert _spectra(y) is _spectra(y)
+
+    def test_all_mode_spectra_stay_writable_and_private(self):
+        from tensorspectra.spectral import _spectra
+
+        x = np.random.default_rng(43).standard_normal((2, 3, 4))
+        spectra = all_mode_spectra(x)
+        expected = [s.tobytes() for s in spectra]
+        for s in spectra:
+            assert s.flags.writeable
+            s[:] = -1.0
+        assert [s.tobytes() for s in all_mode_spectra(x)] == expected
+        assert _spectra(x).tobytes() == self.fresh(x).tobytes()
+
+    def test_norms_over_the_grid_decompose_once(self, monkeypatch):
+        from tensorspectra import spectral
+        from tensorspectra.verify import _param_grid
+
+        original = spectral.singular_values
+        calls = []
+
+        def counted(mat):
+            calls.append(np.shape(mat))
+            return original(mat)
+
+        monkeypatch.setattr(spectral, "singular_values", counted)
+        x = np.random.default_rng(44).standard_normal((3, 4, 2, 2))
+        spectra = all_mode_spectra(x)
+        norms = [schatten_norm(x, params) for params in _param_grid(x.ndim)]
+        assert len(calls) == x.ndim
+        # the grid's second point is p = q = 2: sqrt(D) ||x||_F
+        assert norms[1] == pytest.approx(2.0 * frobenius(x), rel=1e-12)
+        assert len(spectra) == x.ndim
+
+    def test_threads_sharing_the_entry_see_their_own_spectra(self):
+        # more threads than cores, each on its own tensor, switching often, so
+        # hits and replacements of the one entry interleave
+        import sys
+        import threading
+
+        from tensorspectra.spectral import _spectra
+
+        rng = np.random.default_rng(45)
+        shapes = [(3, 4, 5), (4, 3, 5), (5, 4, 3), (3, 4, 5)]
+        tensors = [rng.standard_normal(shape) for shape in shapes]
+        expected = [self.fresh(t).tobytes() for t in tensors]
+        start = threading.Barrier(len(tensors))
+        wrong = [0] * len(tensors)
+        done = [0] * len(tensors)
+
+        def work(i):
+            start.wait()
+            for _ in range(200):
+                if _spectra(tensors[i]).tobytes() != expected[i]:
+                    wrong[i] += 1
+                done[i] += 1
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(tensors))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [200] * len(tensors)
+        assert wrong == [0] * len(tensors)
+
+
+_DOMAIN_PARAMS = SchattenParams(2.0, 2.0, 1.0)
+_ENTRY_POINTS = {
+    "hosvd": hosvd,
+    "all_mode_spectra": all_mode_spectra,
+    "schatten_norm": lambda x: schatten_norm(x, _DOMAIN_PARAMS),
+    "mode_spectrum": lambda x: mode_spectrum(x, 1),
+    "nuclear_norm": nuclear_norm,
+    "estimate_tensor_conjugate": lambda x: estimate_tensor_conjugate(
+        x, _DOMAIN_PARAMS, budget=10
+    ),
+    "check_membership": lambda x: check_membership(x, x, _DOMAIN_PARAMS),
+    "subgradient_inequality_test": lambda x: subgradient_inequality_test(
+        x, x, _DOMAIN_PARAMS, trials=10
+    ),
+    "vn_report": lambda x: vn_report(x, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.array(1.0), "a tensor needs at least 2 modes"),
+        (np.ones(3), "a tensor needs at least 2 modes"),
+        (np.zeros((2, 0, 3)), "mode sizes must be positive"),
+    ],
+    ids=["0-d", "1-D", "2x0x3"],
+)
+def test_out_of_domain_shapes_are_rejected(name, x, message):
+    # the errors of as_tensor, from every entry point that decomposes
+    with pytest.raises(ValueError, match=f"^shape: {message}$"):
+        _ENTRY_POINTS[name](x)
