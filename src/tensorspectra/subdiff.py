@@ -341,7 +341,8 @@ _CHUNK_BYTES = 4 << 20
 # of 5 parameter sets each, about 16 MB) and the certify-small benchmark
 # workload (5 pools with 5 each, about 15 MB); verify's conjugate suite draws
 # no probe at seed 0. A larger pool is drawn again on every call and never
-# stored.
+# stored. The same cap bounds, separately, the one kept set of specials of
+# subgradient_inequality_test (31 copies of the point and their spectra).
 _POOL_CACHE_BYTES = 32 << 20
 _PROBE_SCALES = np.geomspace(0.25, 4.0, 7)
 # (shape, seed, count) -> (chunks, norms): the pool's (stack, spectra)
@@ -455,36 +456,32 @@ def _rotated_copies(x: np.ndarray, frames) -> np.ndarray:
     return out
 
 
-def subgradient_inequality_test(
-    x, g, params: SchattenParams, trials: int = 10_000, seed: int = 0
-) -> float:
-    """Minimum of N(y) - N(x) - <g, y - x> over a seeded sample family.
+# ((shape, bytes, seed, trials), (stack, spectra)) of the last specials kept by
+# _specials; replaced whole by one assignment, so a reader never sees a torn
+# pair
+_last_specials: tuple | None = None
 
-    The family starts with scaled copies of x (including 0), rotated copies
-    under random orthogonal frames, symmetric and odeco specials, and fills
-    the remaining trials with Gaussian tensors at several scales. The
-    minimum is nonnegative up to roundoff exactly when g is a subgradient
-    of the norm at x. The rotated and symmetric specials are drawn as
-    stacks: one batched QR per mode for the 8 frames, one Gaussian draw for
-    the 8 symmetric tensors. Each special equals, bit for bit, its per-seed
-    construction with ``random_orthogonal``, ``multi_mode_mul`` and
-    ``symmetrize``. The Gaussian tensors are the probe pool of (shape,
-    seed, count), drawn in chunks of a few MiB and reduced to a running
-    minimum, so memory does not grow with ``trials``; pools up to 32 MiB are
-    kept as chunks and reused by later calls with the same key, together
-    with their norms under each ``params`` already asked for, so a repeated
-    call decomposes no probe and recomputes no probe norm.
+
+def _specials(x: np.ndarray, seed: int, trials: int):
+    """The first ``trials`` specials at ``x`` and their spectra, both read-only.
+
+    The specials are 7 scaled copies of x (including 0), 8 copies rotated by
+    random orthogonal frames, 8 symmetrized Gaussian tensors when x is cubic
+    and 8 odeco tensors, drawn from one Generator seeded by ``seed``. The
+    rotated and symmetric specials are drawn as stacks: one batched QR per
+    mode for the 8 frames, one Gaussian draw for the 8 symmetric tensors.
+    Each special equals, bit for bit, its per-seed construction with
+    ``random_orthogonal``, ``multi_mode_mul`` and ``symmetrize``. The last
+    set built is kept when it fits ``_POOL_CACHE_BYTES`` (see
+    :func:`subgradient_inequality_test`).
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"shape: operands differ, {x.shape} vs {g.shape}")
-    if trials < 1:
-        raise ValueError("trials: need at least one sample")
+    global _last_specials
+    key = (x.shape, x.tobytes(), seed, trials)
+    last = _last_specials
+    if last is not None and last[0] == key:
+        return last[1]
     dims = x.shape
-    _check_shape(dims)
     rng = np.random.default_rng([seed, 104729])
-
     specials = [np.multiply.outer(_SPECIAL_SCALES, x)]
     seeds = [[int(rng.integers(2**63 - 1)) for _ in dims] for _ in range(8)]
     specials.append(
@@ -502,7 +499,51 @@ def subgradient_inequality_test(
             ]
         )
     )
-    stack = np.concatenate(specials)[:trials]
+    stack = np.concatenate(specials)
+    stack.flags.writeable = False
+    stack = stack[:trials]
+    spectra = _stacked_spectra(stack)
+    spectra.flags.writeable = False
+    if stack.nbytes + spectra.nbytes <= _POOL_CACHE_BYTES:
+        _last_specials = (key, (stack, spectra))
+    return stack, spectra
+
+
+def subgradient_inequality_test(
+    x, g, params: SchattenParams, trials: int = 10_000, seed: int = 0
+) -> float:
+    """Minimum of N(y) - N(x) - <g, y - x> over a seeded sample family.
+
+    The family starts with scaled copies of x (including 0), rotated copies
+    under random orthogonal frames, symmetric and odeco specials, and fills
+    the remaining trials with Gaussian tensors at several scales. The
+    minimum is nonnegative up to roundoff exactly when g is a subgradient
+    of the norm at x.
+
+    The specials and their mode spectra depend on neither ``params`` nor
+    ``g``. The last set built is kept, keyed on (shape, bytes of x, seed,
+    trials), when its specials and spectra fit ``_POOL_CACHE_BYTES`` (32
+    MiB); a larger set is built on every call. So a sweep of one point over
+    a parameter grid builds and decomposes its specials once. Bytes, not
+    float equality, decide a hit: -0.0 and 0.0 differ, and an x changed in
+    place builds them again. N(x), the specials' norms under ``params`` and
+    every pairing with ``g`` are computed on every call.
+
+    The Gaussian tensors are the probe pool of (shape, seed, count), drawn
+    in chunks of a few MiB and reduced to a running minimum, so memory does
+    not grow with ``trials``; pools up to 32 MiB are kept as chunks and
+    reused by later calls with the same key, together with their norms
+    under each ``params`` already asked for, so a repeated call decomposes
+    no probe and recomputes no probe norm.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if x.shape != g.shape:
+        raise ValueError(f"shape: operands differ, {x.shape} vs {g.shape}")
+    if trials < 1:
+        raise ValueError("trials: need at least one sample")
+    _check_shape(x.shape)
+    stack, spectra = _specials(x, seed, trials)
 
     norm_x = schatten_norm(x, params)
     g_dot_x = inner(g, x)
@@ -511,8 +552,8 @@ def subgradient_inequality_test(
         pairings = _pairings(stack, g)
         return float(np.min(norms - norm_x - (pairings - g_dot_x)))
 
-    best = slack(stack, _schatten_norms(_stacked_spectra(stack), params))
-    for chunk in _probe_chunks(dims, seed, trials - stack.shape[0], params):
+    best = slack(stack, _schatten_norms(spectra, params))
+    for chunk in _probe_chunks(x.shape, seed, trials - stack.shape[0], params):
         best = min(best, slack(*chunk))
     return best
 

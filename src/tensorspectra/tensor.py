@@ -200,6 +200,7 @@ def outer(vectors) -> np.ndarray:
 
 
 def _require_cubic(x: np.ndarray) -> None:
+    _check_shape(x.shape)
     if len(set(x.shape)) != 1:
         raise ValueError(f"shape: requires a cubic tensor, got {x.shape}")
 

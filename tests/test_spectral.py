@@ -18,6 +18,7 @@ from tensorspectra import (
     hosvd,
     hosvd_reconstruct,
     is_orthogonal,
+    is_symmetric,
     matricize,
     mode_spectrum,
     nuclear_norm,
@@ -502,6 +503,8 @@ _ENTRY_POINTS = {
         x, x, _DOMAIN_PARAMS, trials=10
     ),
     "vn_report": lambda x: vn_report(x, x),
+    "is_symmetric": is_symmetric,
+    "symmetrize": symmetrize,
 }
 
 
@@ -516,6 +519,7 @@ _ENTRY_POINTS = {
     ids=["0-d", "1-D", "2x0x3"],
 )
 def test_out_of_domain_shapes_are_rejected(name, x, message):
-    # the errors of as_tensor, from every entry point that decomposes
+    # the errors of as_tensor, from every entry point that decomposes or
+    # symmetrizes
     with pytest.raises(ValueError, match=f"^shape: {message}$"):
         _ENTRY_POINTS[name](x)

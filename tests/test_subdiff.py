@@ -544,6 +544,179 @@ class TestCertificateBits:
         assert len(chunks) > 1 and list(norms) == [grid[-1]]
 
 
+@pytest.fixture
+def fresh_specials(monkeypatch):
+    monkeypatch.setattr(subdiff, "_last_specials", None)
+
+
+@pytest.mark.usefixtures("fresh_specials")
+class TestSpecialsMemo:
+    """The one kept set of specials behind ``subgradient_inequality_test``."""
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
+    def test_a_hit_equals_a_cold_call_at_every_grid_point(self, name, monkeypatch):
+        x = CERTIFICATE_POINTS[name]
+        g = np.random.default_rng(26).standard_normal(x.shape)
+        grid = _param_grid(x.ndim)
+
+        def slack(params):
+            return subgradient_inequality_test(x, g, params, trials=60, seed=4)
+
+        hits = [slack(params) for params in grid]  # built at the first point
+        kept = subdiff._last_specials
+        assert [slack(params) for params in grid] == hits
+        assert subdiff._last_specials is kept
+        cold = []
+        for params in grid:
+            monkeypatch.setattr(subdiff, "_last_specials", None)
+            cold.append(slack(params))
+        assert self.bits(hits) == self.bits(cold)
+
+    def test_the_kept_arrays_are_read_only(self):
+        x = np.random.default_rng(27).standard_normal((3, 3, 3))
+        stack, spectra = subdiff._specials(x, 0, 31)
+        hit = subdiff._specials(x.copy(), 0, 31)
+        assert hit[0] is stack and hit[1] is spectra
+        for a in (stack, spectra):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        assert stack.shape == (31, 3, 3, 3)
+        assert spectra.tobytes() == _stacked_spectra(np.array(stack)).tobytes()
+
+    def test_an_in_place_change_misses(self):
+        params = SchattenParams(2, 2, 1)
+        x = np.random.default_rng(28).standard_normal((2, 3, 4))
+        g = np.random.default_rng(29).standard_normal(x.shape)
+        before = subgradient_inequality_test(x, g, params, trials=23)
+        x[0, 0, 0] += 1.0
+        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+            after = subgradient_inequality_test(x, g, params, trials=23)
+        assert spy.call_count == 8
+        subdiff._last_specials = None
+        assert after == subgradient_inequality_test(x, g, params, trials=23)
+        assert after != before
+
+    def test_signed_zeros_are_distinct_keys(self):
+        x = np.random.default_rng(30).standard_normal((3, 3, 3))
+        x[1, 2, 0] = 0.0
+        y = x.copy()
+        y[1, 2, 0] = -0.0
+        assert np.array_equal(x, y)
+        first = subdiff._specials(x, 0, 31)
+        second = subdiff._specials(y, 0, 31)
+        assert second[0] is not first[0]
+        assert subdiff._specials(y, 0, 31)[0] is second[0]
+
+    def test_seed_and_trials_are_part_of_the_key(self):
+        x = np.random.default_rng(31).standard_normal((3, 3, 3))
+        stack, _ = subdiff._specials(x, 0, 31)
+        other_seed, _ = subdiff._specials(x, 1, 31)
+        fewer, _ = subdiff._specials(x, 1, 30)
+        assert other_seed is not stack and fewer is not other_seed
+        assert fewer.shape[0] == 30
+        # the scaled copies do not depend on the seed; the rotations do
+        assert np.array_equal(other_seed[:7], stack[:7])
+        assert not np.array_equal(other_seed[7:], stack[7:])
+        assert np.array_equal(fewer, other_seed[:30])
+
+    def test_threads_alternating_points_get_their_own_slacks(self):
+        # each thread repeats its own point, the two meeting at a barrier
+        # every other call, so hits and replacements of the one entry
+        # interleave
+        import sys
+        import threading
+
+        params = SchattenParams(3, 2, 1)
+        rng = np.random.default_rng(32)
+        points = [rng.standard_normal((4, 4, 4)), rng.standard_normal((2, 3, 2))]
+        expected = []
+        for x in points:
+            subdiff._last_specials = None
+            expected.append(subgradient_inequality_test(x, x, params, trials=31))
+        meet = threading.Barrier(2)
+        wrong = [0, 0]
+        done = [0, 0]
+
+        def work(i):
+            for k in range(20):
+                if k % 2 == 0:
+                    meet.wait()
+                got = subgradient_inequality_test(points[i], points[i], params, trials=31)
+                wrong[i] += got != expected[i]
+                done[i] += 1
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [20, 20]
+        assert wrong == [0, 0]
+
+    def test_a_call_inside_a_build_leaves_no_torn_entry(self, monkeypatch):
+        # a thread switch in the middle of a build, made deterministic: while
+        # x's specials are decomposed, a call at y builds and keeps its own
+        params = SchattenParams(3, 2, 1)
+        rng = np.random.default_rng(35)
+        x, y = rng.standard_normal((4, 4, 4)), rng.standard_normal((2, 3, 2))
+        expected = {}
+        for name, point in (("x", x), ("y", y)):
+            subdiff._last_specials = None
+            expected[name] = subgradient_inequality_test(point, point, params, trials=31)
+        subdiff._last_specials = None
+        original = subdiff._stacked_spectra
+
+        def interrupted(stack):
+            if stack.shape[1:] == x.shape:
+                assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
+            return original(stack)
+
+        monkeypatch.setattr(subdiff, "_stacked_spectra", interrupted)
+        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
+        monkeypatch.setattr(subdiff, "_stacked_spectra", original)
+        assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
+        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
+
+    def test_a_repeat_at_another_grid_point_draws_no_odeco_special(self):
+        x = np.random.default_rng(33).standard_normal((3, 3, 3))
+        grid = _param_grid(x.ndim)
+        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+            subgradient_inequality_test(x, x, grid[0], trials=40)
+            assert spy.call_count == 8
+            for params in grid[1:]:
+                subgradient_inequality_test(x, x, params, trials=40)
+            assert spy.call_count == 8
+
+    def test_a_stack_over_the_cap_is_not_kept(self, monkeypatch):
+        # 31 specials and no probe, so the cap bounds the specials alone
+        x = np.random.default_rng(34).standard_normal((3, 3, 3))
+        params = SchattenParams(2, 1, 1)
+        slack = subgradient_inequality_test(x, x, params, trials=31)
+        _, (stack, spectra) = subdiff._last_specials
+        nbytes = stack.nbytes + spectra.nbytes
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes - 1)
+        subdiff._last_specials = None
+        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+            assert subgradient_inequality_test(x, x, params, trials=31) == slack
+            assert subgradient_inequality_test(x, x, params, trials=31) == slack
+        assert spy.call_count == 16
+        assert subdiff._last_specials is None
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes)
+        assert subgradient_inequality_test(x, x, params, trials=31) == slack
+        assert subdiff._last_specials is not None
+
+
 class TestMatrixReduction:
     def test_polar_factor(self):
         params = SchattenParams(1, 1, 0.5)
