@@ -119,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_norm_flags(conjugate)
     conjugate.add_argument("--in", dest="path", required=True)
-    conjugate.add_argument("--budget", type=int, default=100_000)
-    conjugate.add_argument("--seed", type=int, default=0)
+    conjugate.add_argument(
+        "--budget", type=int, default=100_000, help="evaluation cap (at most 3 run)"
+    )
+    conjugate.add_argument("--seed", type=int, default=0, help="changes nothing")
 
     verify_cmd = commands.add_parser("verify", help="run the property suites")
     verify_cmd.add_argument("--seed", type=int, default=0)

@@ -276,8 +276,7 @@ class MembershipCertificate:
 
     ``notes`` records each condition: per-mode trace-inequality equality,
     the pairing identity and the dual-norm bound, plus whether a rejection
-    could be conservative because only the dual bound failed. That flag
-    understates the doubt: only a failed pairing makes a rejection final.
+    could be conservative: only a failed pairing makes a rejection final.
     """
 
     vn_gaps: np.ndarray
@@ -325,9 +324,7 @@ def check_membership(
             "vn_equality": vn_ok,
             "pairing": pairing_ok,
             "dual_bound": dual_ok,
-            "conservative_rejection_possible": bool(
-                not accepted and vn_ok and pairing_ok and not dual_ok
-            ),
+            "conservative_rejection_possible": not accepted and pairing_ok,
         },
     )
 
@@ -339,10 +336,10 @@ _CHUNK_BYTES = 4 << 20
 # each SchattenParams a caller asked for. 32 MiB holds the working sets that
 # repeat in one process: verify's subgradients suite (6 pools with the norms
 # of 5 parameter sets each, about 16 MB) and the certify-small benchmark
-# workload (5 pools with 5 each, about 15 MB); verify's conjugate suite draws
-# no probe at seed 0. A larger pool is drawn again on every call and never
-# stored. The same cap bounds, separately, the one kept set of specials of
-# subgradient_inequality_test (31 copies of the point and their spectra).
+# workload (5 pools with 5 each, about 15 MB). A larger pool is drawn again
+# on every call and never stored. The same cap bounds, separately, the one
+# kept set of specials of subgradient_inequality_test (31 copies of the point
+# and their spectra).
 _POOL_CACHE_BYTES = 32 << 20
 _PROBE_SCALES = np.geomspace(0.25, 4.0, 7)
 # (shape, seed, count) -> (chunks, norms): the pool's (stack, spectra)
@@ -570,12 +567,12 @@ class ConjugateEstimate:
     """Best value of <x, y> - N(y) found, with its maximizer.
 
     ``evaluations`` counts the candidates y whose objective was computed:
-    y = 0, the aligned certificate, the Gaussian probes and the rescaled
-    maximizer, each phase only when it runs. It is 1 when the spectral dual
-    ratio of x is at most 1, which proves y = 0 optimal. That ratio is
-    ``spectral_dual_ratio``. ``inside_dual_ball`` is True when it is at most
-    1, False when a positive value (a certificate) proves x outside the dual
-    ball, and None otherwise: off odeco points the ratio is an upper bound.
+    y = 0, the aligned certificate and y = x, each only when it runs, so at
+    most 3. It is 1 when the spectral dual ratio of x is at most 1, which
+    proves y = 0 optimal. That ratio is ``spectral_dual_ratio``.
+    ``inside_dual_ball`` is True when it is at most 1, False when a positive
+    value (a certificate) proves x outside the dual ball, and None
+    otherwise: off odeco points the ratio is an upper bound.
     """
 
     best_value: float
@@ -599,7 +596,7 @@ def estimate_tensor_conjugate(
     seed: int = 0,
     target: float | None = None,
 ) -> ConjugateEstimate:
-    """Lower estimate of sup_y <x, y> - N(y): a closed form plus probes.
+    """Lower estimate of sup_y <x, y> - N(y) from at most three closed forms.
 
     The supremum is 0 (attained at y = 0) exactly when x lies in the dual
     unit ball of the norm, and +inf otherwise. Dual ratio: let ratio be the
@@ -607,22 +604,19 @@ def estimate_tensor_conjugate(
     ``check_membership`` and ``conjugate-check`` report. The trace
     inequality in each mode and Hölder give <x, y> - N(y) <= N(y) (ratio -
     1) for every y, so when ratio <= 1 the estimate is exactly 0 after y = 0
-    alone, with no HOSVD and no probe. Off odeco points the ratio only
-    bounds the dual norm from above, so ratio > 1 decides nothing and the
-    phases below run. Closed-form aligned certificate: for
-    y = diag(beta) x_1 U_1 ... x_D U_D on the HOSVD factors
-    U_d of x, N(y) = lam D^(1/q) ||beta||_p and <x, y> = <diag, beta>, with
-    diag the diagonal of the HOSVD core of x. Over unit beta the objective's
-    supremum is ||diag||_{p*} - lam D^(1/q) (Hölder), attained at beta*, the
-    signed dual maximizer of |diag| at p*, evaluated once. Seeded Gaussian
-    probes at several scales, with exact norms, then act as an independent
-    falsifier off the aligned directions: a fifth of the remaining budget,
-    at most 20,000, scanned chunk by chunk with a running maximum, so memory
-    stays at one chunk whatever the count (pools up to 32 MiB are kept as
-    chunks, with their norms, for later calls with the same shape, seed and
-    count). The objective is positively homogeneous, so a positive value
-    proves the supremum infinite; it is rescaled into a comfortably positive
-    certificate. The probes are skipped once ``target`` is reached.
+    alone, with no HOSVD. Off odeco points the ratio only bounds the dual
+    norm from above, so ratio > 1 decides nothing and two candidates
+    follow, each only while fewer than ``budget`` evaluations were made.
+    Closed-form aligned certificate: for y = diag(beta) x_1 U_1 ... x_D U_D
+    on the HOSVD factors U_d of x, N(y) = lam D^(1/q) ||beta||_p and
+    <x, y> = <diag, beta>, with diag the diagonal of the HOSVD core of x.
+    Over unit beta the objective's supremum is ||diag||_{p*} - lam D^(1/q)
+    (Hölder), attained at beta*, the signed dual maximizer of |diag| at p*,
+    evaluated once. Then, if no value is positive yet, y = x: <x, x> / N(x)
+    bounds the dual norm from below, so <x, x> - N(x) > 0 proves x outside
+    the ball. N(x) reuses the spectra the ratio decomposed. The objective is
+    positively homogeneous, so any positive value proves the supremum
+    infinite. ``seed`` and ``target`` are accepted and change nothing.
     """
     x = np.asarray(x, dtype=float)
     if budget < 1:
@@ -638,13 +632,10 @@ def estimate_tensor_conjugate(
     if ratio <= 1.0:
         return ConjugateEstimate(best, best_y, evals, ratio)
 
-    def done() -> bool:
-        return evals >= budget or (target is not None and best >= target)
-
     frame = hosvd(x)
     diag_idx = tuple(np.arange(min(dims)) for _ in dims)
     diag = frame.core[diag_idx]
-    if diag.any() and not done():
+    if diag.any() and evals < budget:
         # the pairing-extremal unit-l_p direction: at p = 1 (p* = inf) a
         # basis vector at the largest |diag|
         if params.p == 1.0:
@@ -662,26 +653,12 @@ def estimate_tensor_conjugate(
             core[diag_idx] = beta
             best_y = multi_mode_mul(core, frame.factors)
 
-    # Gaussian probes with exact norms
-    n_gauss = min((budget - evals) // 5, 20_000)
-    if n_gauss > 0 and not done():
-        for stack, norms in _probe_chunks(dims, seed, n_gauss, params):
-            objective = _pairings(stack, x) - norms
-            # strict >, so the first of equal maxima wins as with one argmax
-            k = int(np.argmax(objective))
-            if objective[k] > best:
-                best = float(objective[k])
-                best_y = np.array(stack[k], dtype=float)
-        evals += n_gauss
-
-    # positive values scale freely: report a comfortably positive certificate
-    if best > 0.0 and evals < budget:
-        factor = max(1.0, 1e-2 / best)
-        scaled = factor * best_y
-        value = inner(x, scaled) - schatten_norm(scaled, params)
+    # y = x: <x, x> / N(x) bounds the dual norm from below
+    if best <= 0.0 and evals < budget:
+        value = inner(x, x) - schatten_norm(x, params)
         evals += 1
         if value > best:
             best = value
-            best_y = scaled
+            best_y = x.copy()
 
     return ConjugateEstimate(float(best), best_y, evals, ratio)
