@@ -17,7 +17,7 @@ import numpy as np
 from . import serialize
 from .linalg import SvdConvergenceError
 from .odeco import random_odeco, random_symmetric_odeco
-from .spectral import SchattenParams, _combined, all_mode_spectra, hosvd, schatten_norm
+from .spectral import SchattenParams, all_mode_spectra, combined_spectrum, hosvd, schatten_norm
 from .subdiff import check_membership, estimate_tensor_conjugate, schatten_subgradient
 from .tensor import symmetrize
 from .vonneumann import _equality_structure, vn_report
@@ -175,11 +175,11 @@ def _cmd_hosvd(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    spectra = all_mode_spectra(serialize.load_dense(args.path))
+    x = serialize.load_dense(args.path)
     _emit(
         {
-            "per_mode": [s.tolist() for s in spectra],
-            "combined": [s.tolist() for s in _combined(spectra)],
+            "per_mode": [s.tolist() for s in all_mode_spectra(x)],
+            "combined": [s.tolist() for s in combined_spectrum(x)],
         }
     )
     return 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import singular_values, svd
-from .tensor import _check_shape, _unfold, matricize, multi_mode_mul
+from .tensor import _check_shape, _mode_axis, _unfold, matricize, multi_mode_mul
 
 __all__ = [
     "Hosvd",
@@ -110,16 +110,13 @@ def hosvd_reconstruct(h: Hosvd) -> np.ndarray:
 def mode_spectrum(x, mode: int) -> np.ndarray:
     """Singular values of the mode-``mode`` unfolding, descending, padded.
 
-    The vector is zero-padded to length n_mode so spectra of a cubic tensor
-    are comparable across modes.
+    A writable copy of a row of the spectra the norms read, zero-padded to
+    length n_mode so the spectra of a cubic tensor compare across modes.
     """
     x = np.asarray(x, dtype=float)
     _check_shape(x.shape)
-    vals = singular_values(matricize(x, mode))
-    n = x.shape[mode - 1]
-    if vals.size < n:
-        vals = np.concatenate([vals, np.zeros(n - vals.size)])
-    return vals
+    axis = _mode_axis(x.ndim, mode)
+    return _spectra(x)[axis, : x.shape[axis]].copy()
 
 
 def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
@@ -148,9 +145,10 @@ def _spectra(x) -> np.ndarray:
     Equal to ``_stacked_spectra(x[None])[0]``. The last tensor decomposed
     here is kept with its spectra, keyed on its shape and bytes: a call on
     the same bits returns the stored array, so consecutive requests on one
-    tensor (a norm over a parameter grid, spectra then a norm) decompose it
-    once. Bytes, not float equality, decide a hit, so -0.0 and 0.0 differ
-    and a tensor changed in place misses.
+    tensor (its modes, a norm over a parameter grid, spectra then a norm,
+    then its dual ratio) decompose it once. Bytes, not float equality,
+    decide a hit, so -0.0 and 0.0 differ and a tensor changed in place
+    misses. Only stacks and :func:`hosvd` decompose a tensor elsewhere.
     """
     global _last_spectra
     x = np.asarray(x, dtype=float)
@@ -209,24 +207,19 @@ def all_mode_spectra(x) -> list[np.ndarray]:
     return [padded[d, :n] for d, n in enumerate(x.shape)]
 
 
-def _combined(spectra: list[np.ndarray]) -> list[np.ndarray]:
-    # the D mode spectra of a tensor, already computed, scaled by 1/sqrt(D)
-    scale = 1.0 / np.sqrt(len(spectra))
-    return [scale * s for s in spectra]
-
-
 def combined_spectrum(x) -> list[np.ndarray]:
     """All mode spectra scaled by 1/sqrt(D)."""
-    return _combined(all_mode_spectra(x))
+    spectra = all_mode_spectra(x)
+    scale = 1.0 / np.sqrt(len(spectra))
+    return [scale * s for s in spectra]
 
 
 def schatten_norm(x, params: SchattenParams) -> float:
     """λ (Σ_d ||σ_d(x)||_p^q)^(1/q) over the per-mode spectra of ``x``.
 
-    The spectra come from the one-tensor memo that :func:`all_mode_spectra`
-    and the dual ratio share: norms of one tensor at several parameters, or
-    after its spectra, decompose it once. The values are bit for bit those
-    of a fresh decomposition.
+    The spectra come from the one-tensor entry that :func:`mode_spectrum`,
+    :func:`all_mode_spectra` and the dual ratio share, bit for bit those of
+    a fresh decomposition.
     """
     return float(_schatten_norms(_spectra(x)[None], params)[0])
 

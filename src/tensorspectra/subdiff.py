@@ -31,7 +31,7 @@ from .spectral import (
     schatten_norm,
 )
 from .tensor import _check_shape, _symmetrize_stack, frobenius, inner, multi_mode_mul
-from .vonneumann import vn_report
+from .vonneumann import _binary_scaled, vn_report
 
 __all__ = [
     "DualExponents",
@@ -263,9 +263,7 @@ def _spectral_dual_ratio(x: np.ndarray, params: SchattenParams) -> float:
 
     It bounds the dual norm of x from above, with equality at odeco points,
     so x lies in the dual unit ball of the norm when it is at most 1. The
-    spectra come from the one-tensor memo behind
-    :func:`~tensorspectra.spectral.schatten_norm`, so a ratio after a norm
-    of the same tensor (or the reverse) decomposes it once.
+    spectra are the one-tensor entry behind the norms.
     """
     return float(_dual_norms(_spectra(x), params)) / (params.lam * x.ndim)
 
@@ -298,17 +296,20 @@ def check_membership(
     y's dual norm from above: an acceptance is a proof, and a rejection with
     (ii) holding is not final. The tolerance of (ii) has no floor and is
     compared on frexp parts, so it neither overflows nor underflows: scaling
-    x changes no verdict, and y = 0 fails at every x != 0.
+    x changes no verdict, and y = 0 fails at every x != 0. N(x), the trace
+    inequalities and y's dual ratio are computed in that order, so a cold
+    call decomposes x once and y once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
-    report = vn_report(x, y, tol)
+    # x first, then y: the one-entry spectra memo decomposes each only once
     norm_x = schatten_norm(x, params)
+    report = vn_report(x, y, tol)
+    dual_value = _spectral_dual_ratio(y, params)
     residual = abs(inner(x, y) - norm_x)
     (mx, ex), (my, ey) = math.frexp(frobenius(x)), math.frexp(frobenius(y))
-    dual_value = _spectral_dual_ratio(y, params)
     vn_ok = report.equality
     # residual <= tol ||x|| ||y|| on frexp parts; a scaled overflow fails
     with np.errstate(over="ignore", under="ignore"):
@@ -653,12 +654,18 @@ def estimate_tensor_conjugate(
             core[diag_idx] = beta
             best_y = multi_mode_mul(core, frame.factors)
 
-    # y = x: <x, x> / N(x) bounds the dual norm from below
+    # y = x: <x, x> / N(x) bounds the dual norm from below. If <x, x> leaves
+    # the normal range or N(x) overflows, x is outside _binary_scaled's band,
+    # and this homogeneous objective is taken at its copy, max|y| in [1/2, 1)
     if best <= 0.0 and evals < budget:
-        value = inner(x, x) - schatten_norm(x, params)
+        with np.errstate(over="ignore"):
+            xx, norm = inner(x, x), schatten_norm(x, params)
+        in_range = np.finfo(float).tiny <= xx < math.inf and norm < math.inf
+        y = x if in_range else _binary_scaled(x)[0]
+        value = inner(x, y) - schatten_norm(y, params)
         evals += 1
         if value > best:
             best = value
-            best_y = x.copy()
+            best_y = y.copy()
 
     return ConjugateEstimate(float(best), best_y, evals, ratio)

@@ -35,13 +35,7 @@ from .subdiff import (
     schatten_subgradient,
     subgradient_inequality_test,
 )
-from .tensor import (
-    frobenius,
-    matricize,
-    multi_mode_mul,
-    symmetrize,
-    tensorize,
-)
+from .tensor import frobenius, matricize, multi_mode_mul, symmetrize, tensorize
 from .vonneumann import _equality_structure, vn_report
 
 __all__ = ["SuiteResult", "SUITES", "run_all", "grid_best_pairing"]

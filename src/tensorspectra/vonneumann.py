@@ -71,25 +71,31 @@ class EqualityStructure:
 
 def _binary_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
     # (t * 2^-e, e) with e from frexp(max|t|), so the largest magnitude of
-    # the copy lies in [1/2, 1); a power-of-two scaling rounds nothing unless
-    # entries leave the normal range, and a zero tensor keeps e = 0
+    # the copy lies in [1/2, 1); a zero tensor keeps e = 0. The band |e| <=
+    # 256 returns t itself: 2^-257 <= max|t| < 2^256 keeps the products and
+    # squared norms of two operands of n entries below n 2^512 and their
+    # tolerance scale ||x|| ||y|| >= 2^-514 far above the subnormals
     e = math.frexp(float(np.max(np.abs(t), initial=0.0)))[1]
+    if abs(e) <= 256:
+        return t, 0
     return np.ldexp(t, -e), e
 
 
 def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     """Inner product of a pair against its per-mode spectral bounds.
 
-    The pair is decomposed as x' = 2^-a x and y' = 2^-b y, with a and b from
-    ``frexp`` of max|x| and max|y|, so the bounds and the inner product stay
-    within binary64 at either end of its range. ``equality`` is true when
-    every gap of (x', y') is at most tol * ||x'|| ||y'||. The test is
-    relative, with no absolute floor: the verdict does not depend on the
-    scale of x or of y (up to rounding; exactly for powers of two), and a
-    zero operand gives equality exactly. The inner product, bounds and gaps are
-    reported at the scale of (x, y), as those of (x', y') times 2^(a+b);
-    that scaling is exact, so a value is only changed when it leaves the
-    range of binary64 (then it is infinite).
+    The pair is decomposed as x' = 2^-a x and y' = 2^-b y. An operand whose
+    largest magnitude lies in [2^-257, 2^256) keeps exponent 0 and is
+    decomposed itself, through the spectra entry the norms read; otherwise
+    its exponent is ``frexp``'s of that magnitude, so the bounds and the
+    inner product stay within binary64 at either end of its range.
+    ``equality`` is true when every gap of (x', y') is at most
+    tol * ||x'|| ||y'||. The test is relative, with no absolute floor: the
+    verdict does not depend on the scale of x or of y (up to rounding;
+    exactly for powers of two), and a zero operand gives equality exactly.
+    The inner product, bounds and gaps are reported at the scale of (x, y),
+    as those of (x', y') times 2^(a+b), exactly: a value changes only when
+    it leaves the range of binary64 (then it is infinite).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -194,11 +200,11 @@ def verify_equality_structure(
     each block the cores must be nonnegatively proportional. ``constants[b]``
     is the least-squares coefficient with cy_b ~= c * cx_b; when the cx block
     is zero the roles swap (NaN marks a zero cx block paired with a nonzero
-    cy block). The cores are tested as copies scaled by powers of two to a
-    largest magnitude in [1/2, 1), with tolerances relative to those copies
-    and no absolute floor, so the verdict does not depend on the scale of
-    either core and no square overflows; each constant is scaled back
-    exactly.
+    cy block). A core whose largest magnitude lies outside [2^-257, 2^256)
+    is tested as a copy scaled by a power of two to [1/2, 1). Tolerances are
+    relative, with no absolute floor, so the verdict does not depend on the
+    scale of either core and no square overflows; each constant is scaled
+    back exactly.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)

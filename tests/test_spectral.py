@@ -487,6 +487,53 @@ class TestSpectraMemo:
         assert done == [200] * len(tensors)
         assert wrong == [0] * len(tensors)
 
+    @staticmethod
+    def counted_calls(monkeypatch) -> list:
+        # shapes of the matrices spectral's binding of singular_values sees,
+        # starting from an empty entry
+        from tensorspectra import spectral
+
+        original = spectral.singular_values
+        calls = []
+
+        def counted(mat):
+            calls.append(np.shape(mat))
+            return original(mat)
+
+        monkeypatch.setattr(spectral, "singular_values", counted)
+        monkeypatch.setattr(spectral, "_last_spectra", None)
+        return calls
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (4, 4, 4), (2, 3, 4, 2)])
+    def test_a_cold_membership_check_decomposes_each_operand_once(
+        self, shape, monkeypatch
+    ):
+        # N(x) and the x side of the trace inequalities read one entry, the
+        # y side and y's dual ratio the next: one call per mode and operand
+        rng = np.random.default_rng(46)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        calls = self.counted_calls(monkeypatch)
+        certificate = check_membership(x, y, SchattenParams(3.0, 2.0, 1.0))
+        assert len(calls) == 2 * len(shape)
+        assert not certificate.accepted
+
+    def test_mode_spectrum_after_a_norm_decomposes_nothing(self, monkeypatch):
+        x = np.random.default_rng(47).standard_normal((3, 4, 5))
+        params = SchattenParams(3.0, 2.0, 1.0)
+        expected = [row[:n].tobytes() for row, n in zip(self.fresh(x), x.shape)]
+        calls = self.counted_calls(monkeypatch)
+        norm = schatten_norm(x, params)
+        assert len(calls) == x.ndim
+        spectra = [mode_spectrum(x, d) for d in (1, 2, 3)]
+        assert len(calls) == x.ndim
+        assert [s.tobytes() for s in spectra] == expected
+        for s in spectra:
+            assert s.flags.writeable
+            s[:] = -1.0
+        assert schatten_norm(x, params) == norm
+        assert [s.tobytes() for s in all_mode_spectra(x)] == expected
+        assert len(calls) == x.ndim
+
 
 _DOMAIN_PARAMS = SchattenParams(2.0, 2.0, 1.0)
 _ENTRY_POINTS = {

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
@@ -885,6 +886,23 @@ class TestConjugateEstimate:
         assert estimate.inside_dual_ball is False
         assert estimate.evaluations == 3
         assert np.array_equal(estimate.maximizer, x)
+
+    @pytest.mark.parametrize("lam", [1e160, 1e-300])
+    def test_y_equal_x_beyond_binary64_is_taken_on_a_scaled_copy(self, lam):
+        # the point that lam = 1 certifies by y = x: at 1e160 <x, x> and N(x)
+        # overflowed (inf - inf), at 1e-300 <x, x> underflowed to 0, and both
+        # read None
+        params = SchattenParams(3, 2, lam)
+        x = np.random.default_rng(0).standard_normal((3, 4, 5))
+        x *= 1.2 / subdiff._spectral_dual_ratio(x, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = estimate_tensor_conjugate(x, params)
+        assert estimate.inside_dual_ball is False
+        assert estimate.evaluations == 3
+        y = estimate.maximizer
+        assert 0.5 <= np.max(np.abs(y)) < 1.0
+        assert inner(x, y) - schatten_norm(y, params) == estimate.best_value
 
 
 class TestExponentValidation:

@@ -312,6 +312,53 @@ class TestScaleFreeVerdicts:
             assert not report.per_mode_gap.any()
 
 
+class TestBinaryBand:
+    """Operands inside the band are decomposed themselves, the rest as copies."""
+
+    REP = random_odeco((4, 4, 4), 4, 3)
+    ODECO_X = to_dense(REP)
+    ODECO_Y = to_dense(make_odeco([4.0, 2.0, 1.0, 0.5], REP.factors))
+    R = np.random.default_rng(0).standard_normal((4, 4, 4))
+
+    @staticmethod
+    def unit_max(t):
+        return t / np.max(np.abs(t))
+
+    @pytest.mark.parametrize("t", [1.0, 2.0**255, 2.0**-257, 0.0, -3.0e-50])
+    def test_in_band_operand_comes_back_itself(self, t):
+        from tensorspectra.vonneumann import _binary_scaled
+
+        x = t * self.unit_max(self.R)
+        scaled, e = _binary_scaled(x)
+        assert scaled is x
+        assert e == 0
+
+    @pytest.mark.parametrize("t", [2.0**256, 2.0**-258, 1e300, 1e-300])
+    def test_out_of_band_operand_is_a_scaled_copy(self, t):
+        from tensorspectra.vonneumann import _binary_scaled
+
+        x = t * self.unit_max(self.R)
+        scaled, e = _binary_scaled(x)
+        assert scaled is not x
+        assert 0.5 <= np.max(np.abs(scaled)) < 1.0
+        assert np.array_equal(np.ldexp(scaled, e), x)
+
+    @pytest.mark.parametrize("scale", [1.5e308, 1e-318])
+    @pytest.mark.parametrize(
+        "pair, equality",
+        [("odeco", True), ("proportional", True), ("reversed", False)],
+    )
+    def test_verdicts_at_both_ends_of_binary64(self, scale, pair, equality):
+        # at 1.5e308 the Frobenius norms overflow; at 1e-318 every entry is
+        # subnormal
+        x, y = {
+            "odeco": (self.unit_max(self.ODECO_X), self.unit_max(self.ODECO_Y)),
+            "proportional": (self.unit_max(self.R), 0.75 * self.unit_max(self.R)),
+            "reversed": (self.unit_max(self.R), self.unit_max(self.R)[::-1, ::-1, ::-1]),
+        }[pair]
+        assert vn_report(scale * x, scale * y).equality is equality
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=st.integers(-150, 150), t=st.integers(-150, 150), shared=st.booleans())
 def test_equality_verdict_does_not_depend_on_scale(s, t, shared):
