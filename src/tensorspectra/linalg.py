@@ -145,7 +145,7 @@ def complete_orthonormal(u, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("matrix: expected n-by-r with r <= n")
     n, r = u.shape
     gram_err = float(np.linalg.norm(u.T @ u - np.eye(r)))
-    if gram_err > tol:
+    if not gram_err <= tol:  # a NaN residual fails too
         raise ValueError(
             f"matrix: columns are not orthonormal (gram residual {gram_err:.3e})"
         )

@@ -81,7 +81,7 @@ def make_odeco(alphas, factors, shape=None) -> OdecoRep:
         )
     for d, f in enumerate(mats, start=1):
         gram_err = float(np.linalg.norm(f.T @ f - np.eye(r)))
-        if gram_err > _ORTHO_TOL:
+        if not gram_err <= _ORTHO_TOL:  # a NaN residual fails too
             raise ValueError(
                 f"factors: mode {d} columns are not orthonormal "
                 f"(gram residual {gram_err:.3e})"

@@ -43,15 +43,19 @@ class Hosvd:
 
 @dataclass(frozen=True)
 class SchattenParams:
-    """Exponents and scale of the norm λ (Σ_d ||σ_d||_p^q)^(1/q)."""
+    """Exponents and scale of the norm λ (Σ_d ||σ_d||_p^q)^(1/q).
+
+    p, q and lam are stored as Python floats, so derived exponents are binary64.
+    """
 
     p: float
     q: float
     lam: float = 1.0
 
     def __post_init__(self):
-        for name in ("p", "q"):
-            value = float(getattr(self, name))
+        for name in ("p", "q", "lam"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name, value in (("p", self.p), ("q", self.q)):
             if not np.isfinite(value) or value < 1.0:
                 raise ValueError(f"{name}: exponent must be a finite real >= 1")
         if not np.isfinite(self.lam) or self.lam <= 0.0:

@@ -119,6 +119,8 @@ def dual_vector_maximizer(s, p: float) -> DualMaximizer:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.ndim != 1 or s.size == 0:
         raise ValueError("s: expected a nonempty vector")
+    if not np.isfinite(s).all():
+        raise ValueError("s: entries must be finite")
     if np.any(s < 0):
         raise ValueError("s: entries must be nonnegative")
     p = float(p)
@@ -146,6 +148,8 @@ def _tuple_array(t, name: str = "tuple") -> np.ndarray:
         raise ValueError(f"{name}: need one vector per mode (D >= 2)")
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError(f"{name}: vectors must share a common nonzero length")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{name}: entries must be finite")
     return rows
 
 

@@ -205,3 +205,8 @@ def test_complete_orthonormal():
     assert is_orthogonal(full, 1e-12)
     with pytest.raises(ValueError, match="orthonormal"):
         complete_orthonormal(np.ones((3, 2)))
+
+
+def test_complete_orthonormal_rejects_nan():
+    with pytest.raises(ValueError, match="orthonormal"):
+        complete_orthonormal([[np.nan], [0.0], [0.0]])

@@ -68,6 +68,11 @@ def test_validation_errors():
         make_odeco([1.0], [np.eye(2)[:, :1]] * 3, shape=(2, 2, 3))
 
 
+def test_nan_factor_rejected():
+    with pytest.raises(ValueError, match="mode 1 columns are not orthonormal"):
+        make_odeco([1.0], [[[math.nan], [0.0]], [[1.0], [0.0]]])
+
+
 def test_frobenius_is_weight_norm():
     rep = random_odeco((3, 4, 5), 3, 2)
     assert frobenius(to_dense(rep)) == pytest.approx(

@@ -113,6 +113,11 @@ class TestDualMaximizer:
         with pytest.raises(ValueError, match="nonnegative"):
             dual_vector_maximizer([1.0, -1.0], 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="s: entries must be finite"):
+            dual_vector_maximizer([bad, 1.0], 2.0)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("n", [2, 3])
     def test_against_grid_oracle(self, n, p):
@@ -249,6 +254,7 @@ def test_tuple_membership_verdict_does_not_depend_on_scale(seed, params, candida
         (np.zeros((2, 0)), "common nonzero length"),
         (np.ones((3, 2)), "must match the shape of t"),
         ([[1.0, -1.0], [1.0, 1.0]], "must be nonnegative"),
+        ([[math.nan, 1.0], [1.0, 1.0]], "must be finite"),
     ],
 )
 def test_tuple_functions_validate_their_tuples(func, bad, message):
@@ -260,6 +266,7 @@ def test_tuple_functions_validate_their_tuples(func, bad, message):
     raises = (
         "length" in message
         or "per mode" in message
+        or "finite" in message
         or func is tuple_membership
         or (func is tuple_subgradient and "nonnegative" in message)
     )
@@ -325,6 +332,21 @@ class TestMembership:
         g = schatten_subgradient(rep, params)
         certificate = check_membership(dense, g, params)
         assert certificate.accepted, certificate.notes
+
+    def test_float32_params_match_float64(self):
+        # float32 exponents once kept 1/q in float32, so the subgradient
+        # moved by 2e-8 and its certificate was rejected as final
+        rep = random_odeco((3, 3, 3), 3, 5)
+        dense = to_dense(rep)
+        params = SchattenParams(np.float32(3), np.float32(3), np.float32(1))
+        assert all(type(v) is float for v in (params.p, params.q, params.lam))
+        g = schatten_subgradient(rep, params)
+        assert np.array_equal(g, schatten_subgradient(rep, SchattenParams(3.0, 3.0, 1.0)))
+        certificate = check_membership(dense, g, params)
+        assert certificate.accepted, certificate.notes
+        assert all(type(v) is bool for v in certificate.notes.values())
+        text = SchattenParams("3", "3", 1.0)
+        assert np.array_equal(schatten_subgradient(rep, text), g)
 
     def test_doubled_rejected_with_dual_value_two(self):
         rep = random_odeco((3, 3, 3), 3, 31)
