@@ -6,6 +6,8 @@ certification of norm subgradients at symmetric and orthogonally
 decomposable points.
 """
 
+import logging
+
 # each module's __all__ is its one list of public names
 from . import linalg, odeco, spectral, subdiff, tensor, vonneumann
 from .linalg import *
@@ -16,6 +18,10 @@ from .tensor import *
 from .vonneumann import *
 
 __version__ = "0.1.0"
+
+# the modules log through children of this logger, silent until the
+# application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

@@ -138,32 +138,38 @@ def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-# ((shape, bytes), spectra) of the last tensor decomposed alone by _spectra;
-# replaced whole by one assignment, so a reader never sees a torn pair
+# up to two ((shape, bytes), spectra) pairs, most recent first, of the last
+# tensors decomposed alone by _spectra; replaced whole by one assignment, so a
+# reader never sees a torn pair
 _last_spectra: tuple | None = None
 
 
 def _spectra(x) -> np.ndarray:
     """Read-only ``(D, max n)`` padded mode spectra of one tensor.
 
-    Equal to ``_stacked_spectra(x[None])[0]``. The last tensor decomposed
-    here is kept with its spectra, keyed on its shape and bytes: a call on
-    the same bits returns the stored array, so consecutive requests on one
-    tensor (its modes, a norm over a parameter grid, spectra then a norm,
-    then its dual ratio) decompose it once. Bytes, not float equality,
-    decide a hit, so -0.0 and 0.0 differ and a tensor changed in place
-    misses. Only stacks and :func:`hosvd` decompose a tensor elsewhere.
+    Equal to ``_stacked_spectra(x[None])[0]``. The last two tensors
+    decomposed here are kept with their spectra, keyed on shape and bytes: a
+    call on the same bits returns the stored array and moves its pair to the
+    front, so consecutive requests on one tensor (its modes, a norm over a
+    parameter grid, spectra then a norm, then its dual ratio) decompose it
+    once, and so does a point whose candidates come between its requests.
+    Bytes, not float equality, decide a hit, so -0.0 and 0.0 differ and a
+    tensor changed in place misses. Only stacks and :func:`hosvd` decompose
+    a tensor elsewhere.
     """
     global _last_spectra
     x = np.asarray(x, dtype=float)
     _check_shape(x.shape)
     key = (x.shape, x.tobytes())
-    last = _last_spectra
-    if last is not None and last[0] == key:
-        return last[1]
+    last = _last_spectra or ()
+    for i, pair in enumerate(last):
+        if pair[0] == key:
+            if i:
+                _last_spectra = (pair, last[0])
+            return pair[1]
     spectra = _stacked_spectra(x[None])[0]
     spectra.flags.writeable = False
-    _last_spectra = (key, spectra)
+    _last_spectra = ((key, spectra),) + last[:1]
     return spectra
 
 
@@ -221,7 +227,7 @@ def combined_spectrum(x) -> list[np.ndarray]:
 def schatten_norm(x, params: SchattenParams) -> float:
     """λ (Σ_d ||σ_d(x)||_p^q)^(1/q) over the per-mode spectra of ``x``.
 
-    The spectra come from the one-tensor entry that :func:`mode_spectrum`,
+    The spectra come from the one-tensor entries that :func:`mode_spectrum`,
     :func:`all_mode_spectra` and the dual ratio share, bit for bit those of
     a fresh decomposition.
     """

@@ -12,6 +12,7 @@ mixed conjugate-norm bound on the candidate's spectra.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from collections import OrderedDict
@@ -53,6 +54,8 @@ __all__ = [
     "estimate_tensor_conjugate",
 ]
 
+_log = logging.getLogger(__name__)
+
 
 def holder_conjugate(p: float) -> float:
     """Conjugate exponent p/(p-1), with 1 mapped to infinity."""
@@ -76,22 +79,36 @@ class DualExponents:
         return cls(holder_conjugate(params.p), holder_conjugate(params.q))
 
 
+def _public_norm(a: np.ndarray, p: float, q: float) -> float:
+    # _mixed_norm max-scales, so an infinite entry makes inf / inf; the norm
+    # of an array with an infinite entry and no NaN is inf
+    if np.isfinite(a).all():
+        return float(_mixed_norm(a, p, q))
+    with np.errstate(invalid="ignore"):
+        value = float(_mixed_norm(a, p, q))
+    return value if np.isnan(a).any() else math.inf
+
+
 def lp_norm(v, p: float) -> float:
-    """l_p norm for p in [1, inf]; other p raise ValueError."""
-    return float(_mixed_norm(np.ravel(v)[None], p, 1.0))
+    """l_p norm for p in [1, inf]; other p raise ValueError.
+
+    An infinite entry gives inf, unless an entry is NaN.
+    """
+    return _public_norm(np.ravel(np.asarray(v, dtype=float))[None], p, 1.0)
 
 
 def mixed_norm(rows, p: float, q: float) -> float:
     """(sum_d ||rows[d]||_p^q)^(1/q); the maximum over d when q is infinite.
 
     Rows may differ in length; they are zero-padded, which changes no l_p
-    norm. p and q must lie in [1, inf].
+    norm. p and q must lie in [1, inf]. An infinite entry gives inf, unless
+    an entry is NaN.
     """
     rows = [np.ravel(np.asarray(r, dtype=float)) for r in rows]
     padded = np.zeros((len(rows), max((r.size for r in rows), default=0)))
     for d, r in enumerate(rows):
         padded[d, : r.size] = r
-    return float(_mixed_norm(padded, p, q))
+    return _public_norm(padded, p, q)
 
 
 @dataclass(frozen=True)
@@ -267,7 +284,7 @@ def _spectral_dual_ratio(x: np.ndarray, params: SchattenParams) -> float:
 
     It bounds the dual norm of x from above, with equality at odeco points,
     so x lies in the dual unit ball of the norm when it is at most 1. The
-    spectra are the one-tensor entry behind the norms.
+    spectra are the one-tensor entries behind the norms.
     """
     return float(_dual_norms(_spectra(x), params)) / (params.lam * x.ndim)
 
@@ -302,13 +319,15 @@ def check_membership(
     compared on frexp parts, so it neither overflows nor underflows: scaling
     x changes no verdict, and y = 0 fails at every x != 0. N(x), the trace
     inequalities and y's dual ratio are computed in that order, so a cold
-    call decomposes x once and y once.
+    call decomposes x once and y once. The spectra memo keeps two tensors,
+    so x's spectra outlive one candidate: a sweep of one point's
+    candidates decomposes the point once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
-    # x first, then y: the one-entry spectra memo decomposes each only once
+    # x first, then y: the two-entry spectra memo decomposes each only once
     norm_x = schatten_norm(x, params)
     report = vn_report(x, y, tol)
     dual_value = _spectral_dual_ratio(y, params)
@@ -342,9 +361,10 @@ _CHUNK_BYTES = 4 << 20
 # repeat in one process: verify's subgradients suite (6 pools with the norms
 # of 5 parameter sets each, about 16 MB) and the certify-small benchmark
 # workload (5 pools with 5 each, about 15 MB). A larger pool is drawn again
-# on every call and never stored. The same cap bounds, separately, the one
-# kept set of specials of subgradient_inequality_test (31 copies of the point
-# and their spectra).
+# on every call and never stored. The same cap bounds, separately, each of
+# the two specials entries of subgradient_inequality_test: the last point's
+# set (up to 31 tensors and their spectra) and the point-free specials of the
+# last (shape, seed) (up to 16 tensors, their spectra and 8 frames per mode).
 _POOL_CACHE_BYTES = 32 << 20
 _PROBE_SCALES = np.geomspace(0.25, 4.0, 7)
 # (shape, seed, count) -> (chunks, norms): the pool's (stack, spectra)
@@ -458,6 +478,53 @@ def _rotated_copies(x: np.ndarray, frames) -> np.ndarray:
     return out
 
 
+# ((shape, seed), (frames, stack, spectra)) of the last point-free specials
+# kept by _point_free_specials; replaced whole by one assignment, so a reader
+# never sees a torn pair
+_last_point_free: tuple | None = None
+
+
+def _point_free_specials(shape: tuple[int, ...], seed: int):
+    """The specials that depend only on (shape, seed), all read-only.
+
+    From one Generator seeded by ``[seed, 104729]``, in this order: the 8
+    rotation frames of each mode, drawn as one batched QR per mode, the 8
+    symmetrized Gaussian tensors when the shape is cubic and the 8 odeco
+    tensors. Returns the frames, the stack of symmetric and odeco specials
+    and that stack's spectra. The last set built is kept when it fits
+    ``_POOL_CACHE_BYTES``, so the points of one shape and seed draw and
+    decompose these specials once.
+    """
+    global _last_point_free
+    key = (shape, seed)
+    last = _last_point_free
+    if last is not None and last[0] == key:
+        return last[1]
+    _log.debug("specials: building the point-free part at shape %s", shape)
+    rng = np.random.default_rng([seed, 104729])
+    seeds = [[int(rng.integers(2**63 - 1)) for _ in shape] for _ in range(8)]
+    frames = tuple(_random_orthogonals(n, mode) for n, mode in zip(shape, zip(*seeds)))
+    specials = []
+    if len(set(shape)) == 1:
+        specials.append(_symmetrize_stack(rng.standard_normal((8,) + shape)))
+    specials.append(
+        np.stack(
+            [
+                to_dense(random_odeco(shape, min(shape), int(rng.integers(2**63 - 1))))
+                for _ in range(8)
+            ]
+        )
+    )
+    stack = np.concatenate(specials)
+    spectra = _stacked_spectra(stack)
+    arrays = (*frames, stack, spectra)
+    for a in arrays:
+        a.flags.writeable = False
+    if sum(a.nbytes for a in arrays) <= _POOL_CACHE_BYTES:
+        _last_point_free = (key, (frames, stack, spectra))
+    return frames, stack, spectra
+
+
 # ((shape, bytes, seed, trials), (stack, spectra)) of the last specials kept by
 # _specials; replaced whole by one assignment, so a reader never sees a torn
 # pair
@@ -468,43 +535,29 @@ def _specials(x: np.ndarray, seed: int, trials: int):
     """The first ``trials`` specials at ``x`` and their spectra, both read-only.
 
     The specials are 7 scaled copies of x (including 0), 8 copies rotated by
-    random orthogonal frames, 8 symmetrized Gaussian tensors when x is cubic
-    and 8 odeco tensors, drawn from one Generator seeded by ``seed``. The
-    rotated and symmetric specials are drawn as stacks: one batched QR per
-    mode for the 8 frames, one Gaussian draw for the 8 symmetric tensors.
-    Each special equals, bit for bit, its per-seed construction with
-    ``random_orthogonal``, ``multi_mode_mul`` and ``symmetrize``. The last
-    set built is kept when it fits ``_POOL_CACHE_BYTES`` (see
-    :func:`subgradient_inequality_test`).
+    random orthogonal frames, then the point-free specials of
+    :func:`_point_free_specials`: 8 symmetrized Gaussian tensors when x is
+    cubic and 8 odeco tensors. Each special equals, bit for bit, its
+    per-seed construction with ``random_orthogonal``, ``multi_mode_mul`` and
+    ``symmetrize``, and the spectra equal ``_stacked_spectra`` of the whole
+    stack, since each is decomposed alone. A miss builds and decomposes only
+    the 15 copies of x. The last set built is kept when it fits
+    ``_POOL_CACHE_BYTES`` (see :func:`subgradient_inequality_test`).
     """
     global _last_specials
     key = (x.shape, x.tobytes(), seed, trials)
     last = _last_specials
     if last is not None and last[0] == key:
         return last[1]
-    dims = x.shape
-    rng = np.random.default_rng([seed, 104729])
-    specials = [np.multiply.outer(_SPECIAL_SCALES, x)]
-    seeds = [[int(rng.integers(2**63 - 1)) for _ in dims] for _ in range(8)]
-    specials.append(
-        _rotated_copies(
-            x, [_random_orthogonals(n, mode) for n, mode in zip(dims, zip(*seeds))]
-        )
-    )
-    if len(set(dims)) == 1:
-        specials.append(_symmetrize_stack(rng.standard_normal((8,) + dims)))
-    specials.append(
-        np.stack(
-            [
-                to_dense(random_odeco(dims, min(dims), int(rng.integers(2**63 - 1))))
-                for _ in range(8)
-            ]
-        )
-    )
-    stack = np.concatenate(specials)
+    frames, free, free_spectra = _point_free_specials(x.shape, seed)
+    _log.debug("specials: building the point part at shape %s", x.shape)
+    point = np.concatenate(
+        [np.multiply.outer(_SPECIAL_SCALES, x), _rotated_copies(x, frames)]
+    )[:trials]
+    rest = trials - point.shape[0]
+    stack = np.concatenate([point, free[:rest]])
+    spectra = np.concatenate([_stacked_spectra(point), free_spectra[:rest]])
     stack.flags.writeable = False
-    stack = stack[:trials]
-    spectra = _stacked_spectra(stack)
     spectra.flags.writeable = False
     if stack.nbytes + spectra.nbytes <= _POOL_CACHE_BYTES:
         _last_specials = (key, (stack, spectra))
@@ -528,8 +581,12 @@ def subgradient_inequality_test(
     MiB); a larger set is built on every call. So a sweep of one point over
     a parameter grid builds and decomposes its specials once. Bytes, not
     float equality, decide a hit: -0.0 and 0.0 differ, and an x changed in
-    place builds them again. N(x), the specials' norms under ``params`` and
-    every pairing with ``g`` are computed on every call.
+    place builds them again. The frames and the symmetric and odeco
+    specials depend on (shape, seed) alone and are kept, with their
+    spectra, in a second entry under the same cap, so the next point of
+    that shape and seed builds only its scaled and rotated copies. N(x),
+    the specials' norms under ``params`` and every pairing with ``g`` are
+    computed on every call.
 
     The Gaussian tensors are the probe pool of (shape, seed, count), drawn
     in chunks of a few MiB and reduced to a running minimum, so memory does

@@ -86,7 +86,7 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
 
     The pair is decomposed as x' = 2^-a x and y' = 2^-b y. An operand whose
     largest magnitude lies in [2^-257, 2^256) keeps exponent 0 and is
-    decomposed itself, through the spectra entry the norms read; otherwise
+    decomposed itself, through the spectra entries the norms read; otherwise
     its exponent is ``frexp``'s of that magnitude, so the bounds and the
     inner product stay within binary64 at either end of its range.
     ``equality`` is true when every gap of (x', y') is at most

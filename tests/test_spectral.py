@@ -378,7 +378,7 @@ def test_norm_scale_safe_property(p_exp, q_exp, scale_exp, shape, seed):
 
 
 class TestSpectraMemo:
-    """The one-tensor memo behind the norms, ``all_mode_spectra`` and the dual ratio."""
+    """The two-entry memo behind the norms, ``all_mode_spectra`` and the dual ratio."""
 
     @staticmethod
     def fresh(x):
@@ -533,6 +533,47 @@ class TestSpectraMemo:
         assert schatten_norm(x, params) == norm
         assert [s.tobytes() for s in all_mode_spectra(x)] == expected
         assert len(calls) == x.ndim
+
+
+    def test_alternating_two_tensors_hits_both_entries(self, monkeypatch):
+        from tensorspectra.spectral import _spectra
+
+        rng = np.random.default_rng(48)
+        x, y, z = (rng.standard_normal((3, 4, 5)) for _ in range(3))
+        expected = self.fresh(x).tobytes()
+        calls = self.counted_calls(monkeypatch)
+        first = {"x": _spectra(x), "y": _spectra(y)}
+        for _ in range(3):
+            assert _spectra(x) is first["x"] and _spectra(y) is first["y"]
+        assert len(calls) == 2 * x.ndim
+        # a third tensor evicts the one used least recently, here x
+        _spectra(y)
+        _spectra(z)
+        assert _spectra(y) is first["y"]
+        assert len(calls) == 3 * x.ndim
+        assert _spectra(x) is not first["x"]
+        assert _spectra(x).tobytes() == first["x"].tobytes() == expected
+        assert len(calls) == 4 * x.ndim
+
+    def test_a_certify_sweep_decomposes_its_point_once(self, monkeypatch):
+        # one odeco point and its candidates g and 2g over the grid, as the
+        # certify-small benchmark sweeps them, specials warm: x's entry
+        # survives each candidate, so x is decomposed once and each of the
+        # ten candidates once
+        from tensorspectra import schatten_subgradient
+        from tensorspectra.verify import _param_grid
+
+        rep = random_odeco((3, 3, 3), 3, 5)
+        x = to_dense(rep)
+        grid = _param_grid(x.ndim)
+        subgradient_inequality_test(x, x, grid[0], trials=200, seed=0)
+        calls = self.counted_calls(monkeypatch)
+        for params in grid:
+            g = schatten_subgradient(rep, params)
+            assert check_membership(x, g, params).accepted
+            assert not check_membership(x, 2.0 * g, params).accepted
+            assert subgradient_inequality_test(x, g, params, trials=200, seed=0) >= -1e-9
+        assert calls == [(1, 3, 9)] * (x.ndim * (1 + 2 * len(grid)))
 
 
 _DOMAIN_PARAMS = SchattenParams(2.0, 2.0, 1.0)

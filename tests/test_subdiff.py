@@ -517,11 +517,17 @@ class TestStackedSpecials:
         got = subgradient_inequality_test(x, g, params, trials=count, seed=6)
         assert got == expected
 
-    def test_each_call_draws_eight_odeco_specials(self):
-        x = np.random.default_rng(25).standard_normal((2, 3, 2))
+    def test_a_cold_shape_and_seed_draws_eight_odeco_specials(self, monkeypatch):
+        # the odeco specials depend on (shape, seed) alone: a second point of
+        # the same shape and seed draws none
+        monkeypatch.setattr(subdiff, "_last_point_free", None)
+        rng = np.random.default_rng(25)
+        x, y = rng.standard_normal((2, 3, 2)), rng.standard_normal((2, 3, 2))
         with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
             subgradient_inequality_test(x, x, SchattenParams(2, 2, 1), trials=5)
-        assert spy.call_count == 8
+            assert spy.call_count == 8
+            subgradient_inequality_test(y, y, SchattenParams(2, 2, 1), trials=5)
+            assert spy.call_count == 8
 
 
 def _certificate_points():
@@ -602,11 +608,21 @@ class TestCertificateBits:
 @pytest.fixture
 def fresh_specials(monkeypatch):
     monkeypatch.setattr(subdiff, "_last_specials", None)
+    monkeypatch.setattr(subdiff, "_last_point_free", None)
+
+
+def _cold_slack(x, g, params, **kwargs):
+    # a call with both specials entries empty
+    subdiff._last_specials = None
+    subdiff._last_point_free = None
+    return subgradient_inequality_test(x, g, params, **kwargs)
 
 
 @pytest.mark.usefixtures("fresh_specials")
 class TestSpecialsMemo:
-    """The one kept set of specials behind ``subgradient_inequality_test``."""
+    """The two kept specials entries behind ``subgradient_inequality_test``:
+    the last point's set, and the point-free specials of the last (shape,
+    seed)."""
 
     @staticmethod
     def bits(values):
@@ -649,11 +665,12 @@ class TestSpecialsMemo:
         g = np.random.default_rng(29).standard_normal(x.shape)
         before = subgradient_inequality_test(x, g, params, trials=23)
         x[0, 0, 0] += 1.0
-        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+        with mock.patch.object(
+            subdiff, "_rotated_copies", wraps=subdiff._rotated_copies
+        ) as spy:
             after = subgradient_inequality_test(x, g, params, trials=23)
-        assert spy.call_count == 8
-        subdiff._last_specials = None
-        assert after == subgradient_inequality_test(x, g, params, trials=23)
+        assert spy.call_count == 1
+        assert after == _cold_slack(x, g, params, trials=23)
         assert after != before
 
     def test_signed_zeros_are_distinct_keys(self):
@@ -762,14 +779,98 @@ class TestSpecialsMemo:
         nbytes = stack.nbytes + spectra.nbytes
         monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes - 1)
         subdiff._last_specials = None
-        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+        # each call builds the point's copies again; the point-free entry,
+        # smaller than the cap, is kept and reused
+        with mock.patch.object(
+            subdiff, "_rotated_copies", wraps=subdiff._rotated_copies
+        ) as rotations, mock.patch.object(
+            subdiff, "random_odeco", wraps=random_odeco
+        ) as draws:
             assert subgradient_inequality_test(x, x, params, trials=31) == slack
             assert subgradient_inequality_test(x, x, params, trials=31) == slack
-        assert spy.call_count == 16
+        assert rotations.call_count == 2 and draws.call_count == 0
         assert subdiff._last_specials is None
         monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes)
         assert subgradient_inequality_test(x, x, params, trials=31) == slack
         assert subdiff._last_specials is not None
+
+
+    def test_points_of_one_shape_and_seed_share_the_point_free_specials(self):
+        # two points of one shape and seed: 8 odeco specials drawn, not 16,
+        # and every slack equal to a call with both entries empty
+        rng = np.random.default_rng(36)
+        points = [to_dense(random_odeco((3, 3, 3), 2, 37)), rng.standard_normal((3, 3, 3))]
+        grid = _param_grid(3)
+        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+            swept = [
+                subgradient_inequality_test(x, x, params, trials=40, seed=3)
+                for x in points
+                for params in grid
+            ]
+        assert spy.call_count == 8
+        cold = [
+            _cold_slack(x, x, params, trials=40, seed=3) for x in points for params in grid
+        ]
+        assert self.bits(swept) == self.bits(cold)
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5)])
+    def test_the_joined_spectra_equal_those_of_the_joined_stack(self, dims):
+        x = np.random.default_rng(38).standard_normal(dims)
+        subdiff._specials(np.zeros(dims), 5, 10)  # point-free entry warm
+        stack, spectra = subdiff._specials(x, 5, 31)
+        assert spectra.tobytes() == _stacked_spectra(np.array(stack)).tobytes()
+        frames, free, free_spectra = subdiff._last_point_free[1]
+        assert free.shape[0] == stack.shape[0] - 15
+        for a in (*frames, free, free_spectra):
+            assert not a.flags.writeable
+
+    def test_a_point_free_set_over_the_cap_is_not_kept(self, monkeypatch):
+        x = np.random.default_rng(39).standard_normal((3, 3, 3))
+        params = SchattenParams(2, 1, 1)
+        slack = subgradient_inequality_test(x, x, params, trials=31)
+        frames, free, free_spectra = subdiff._last_point_free[1]
+        nbytes = sum(a.nbytes for a in (*frames, free, free_spectra))
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes - 1)
+        subdiff._last_specials = None
+        subdiff._last_point_free = None
+        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
+            assert subgradient_inequality_test(x, x, params, trials=31) == slack
+            assert subgradient_inequality_test(2.0 * x, x, params, trials=31) == (
+                _cold_slack(2.0 * x, x, params, trials=31)
+            )
+        assert spy.call_count == 24
+        assert subdiff._last_point_free is None
+        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes)
+        assert _cold_slack(x, x, params, trials=31) == slack
+        assert subdiff._last_point_free is not None
+
+    def test_a_call_inside_a_point_free_build_leaves_no_torn_entry(self, monkeypatch):
+        # while the point-free specials of x's shape are decomposed, a call at
+        # another shape builds and keeps its own; each entry stays whole
+        params = SchattenParams(3, 2, 1)
+        rng = np.random.default_rng(40)
+        x, y = rng.standard_normal((4, 4, 4)), rng.standard_normal((2, 3, 2))
+        expected = {
+            "x": _cold_slack(x, x, params, trials=31),
+            "y": _cold_slack(y, y, params, trials=31),
+        }
+        subdiff._last_specials = None
+        subdiff._last_point_free = None
+        original = subdiff._symmetrize_stack
+
+        def interrupted(stack):
+            assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
+            return original(stack)
+
+        monkeypatch.setattr(subdiff, "_symmetrize_stack", interrupted)
+        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
+        assert subdiff._last_point_free[0] == ((4, 4, 4), 0)
+        monkeypatch.setattr(subdiff, "_symmetrize_stack", original)
+        assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
+        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
+        (shape, seed), (frames, free, free_spectra) = subdiff._last_point_free
+        assert shape == free.shape[1:] and len(frames) == len(shape)
+        assert free_spectra.shape[0] == free.shape[0]
 
 
 class TestMatrixReduction:
@@ -944,6 +1045,22 @@ class TestExponentValidation:
     def test_infinite_exponents_accepted(self):
         assert lp_norm([3.0, -4.0], math.inf) == 4.0
         assert mixed_norm([[3.0, 4.0], [1.0]], 2.0, math.inf) == 5.0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+def test_an_infinite_entry_gives_an_infinite_norm(p):
+    # the max-scaling divides inf by inf; the public norms answer inf, with
+    # no RuntimeWarning, and a NaN entry still gives NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lp_norm([math.inf, 1.0], p) == math.inf
+        assert lp_norm([1.0, -math.inf], p) == math.inf
+        assert mixed_norm([[math.inf], [1.0]], p, 2.0) == math.inf
+        assert mixed_norm([[1.0, 2.0], [-math.inf]], 2.0, p) == math.inf
+        assert math.isnan(lp_norm([math.inf, math.nan], p))
+        assert math.isnan(mixed_norm([[math.nan], [1.0]], p, 2.0))
+    with pytest.raises(ValueError, match="p: exponent"):
+        lp_norm([math.inf, 1.0], 0.5)
 
 
 def test_ragged_mixed_norm_equals_zero_padded():
