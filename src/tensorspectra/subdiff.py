@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,114 +351,19 @@ def check_membership(
     )
 
 
-# Probe pools are drawn and decomposed in chunks of about this many bytes, so
-# the memory of a pool that is not cached does not grow with the probe count.
-_CHUNK_BYTES = 4 << 20
-# Bytes of whole pools kept between calls: probes, spectra and the norms of
-# each SchattenParams a caller asked for. 32 MiB holds the working sets that
-# repeat in one process: verify's subgradients suite (6 pools with the norms
-# of 5 parameter sets each, about 16 MB) and the certify-small benchmark
-# workload (5 pools with 5 each, about 15 MB). A larger pool is drawn again
-# on every call and never stored. The same cap bounds, separately, each of
-# the two specials entries of subgradient_inequality_test: the last point's
-# set (up to 31 tensors and their spectra) and the point-free specials of the
-# last (shape, seed) (up to 16 tensors, their spectra and 8 frames per mode).
+# Bytes kept, separately, by each of the two specials entries of
+# subgradient_inequality_test: the last point's set (up to 31 tensors and
+# their spectra) and the point-free specials of the last (shape, seed) (up to
+# 16 tensors, their spectra and 8 frames per mode). A larger set is built on
+# every call and never stored.
 _POOL_CACHE_BYTES = 32 << 20
-_PROBE_SCALES = np.geomspace(0.25, 4.0, 7)
-# (shape, seed, count) -> (chunks, norms): the pool's (stack, spectra)
-# chunks and, per SchattenParams, the norms of each chunk
-_pool_cache: OrderedDict = OrderedDict()
-_pool_lock = threading.Lock()
-
-
-def _pool_bytes(pool) -> int:
-    chunks, norms = pool
-    return sum(a.nbytes + b.nbytes for a, b in chunks) + sum(
-        n.nbytes for per_chunk in norms.values() for n in per_chunk
-    )
-
-
-def _make_room(nbytes: int) -> None:
-    # evict least recently used pools, with their norms, until nbytes more
-    # fit; holds _pool_lock
-    while _pool_cache and (
-        nbytes + sum(map(_pool_bytes, _pool_cache.values())) > _POOL_CACHE_BYTES
-    ):
-        _pool_cache.popitem(last=False)
 
 
 def _pairings(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
     # <stack[i], v> for every i as a row-wise sum rather than a BLAS product,
-    # so each pairing is rounded the same way whatever the chunking or the
-    # BLAS thread count
+    # so each pairing is rounded the same way whatever the stack's length or
+    # the BLAS thread count
     return np.einsum("ij,j->i", stack.reshape(stack.shape[0], -1), v.ravel())
-
-
-def _drawn_chunks(shape: tuple[int, ...], seed: int, count: int):
-    # the pool's probes and their spectra, drawn in read-only chunks
-    rng = np.random.default_rng([seed, len(shape), *shape, count])
-    step = max(1, _CHUNK_BYTES // (8 * math.prod(shape)))
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        stack = rng.standard_normal((stop - start,) + shape)
-        stack *= _PROBE_SCALES[np.arange(start, stop) % _PROBE_SCALES.size].reshape(
-            (stop - start,) + (1,) * len(shape)
-        )
-        spectra = _stacked_spectra(stack)
-        stack.flags.writeable = False
-        spectra.flags.writeable = False
-        yield stack, spectra
-
-
-def _probe_chunks(
-    shape: tuple[int, ...], seed: int, count: int, params: SchattenParams
-):
-    """The seeded Gaussian probe pool, as read-only ``(stack, norms)`` chunks.
-
-    Probe i is the i-th draw of one Generator seeded by (seed, D, shape,
-    count), times the scale ``_PROBE_SCALES[i % 7]``; ``norms`` holds the
-    norms under ``params`` of the chunk's probes, from their stacked mode
-    spectra. Sequential draws concatenate bit for bit, so no value depends on
-    the chunking. A pool whose probes, spectra and one set of norms fit
-    ``_POOL_CACHE_BYTES`` is kept as its chunks, after the least recently
-    used pools are evicted to make room, and those chunks are replayed on
-    later calls. The norms of each ``params`` are computed once and kept in
-    the pool's own entry, counted against the cap, so they are evicted with
-    the pool and always match its chunks. A larger pool is streamed chunk by
-    chunk on every call, its norms computed per chunk.
-    """
-    if count < 1:
-        return
-    key = (shape, seed, count)
-    nbytes = 8 * count * (math.prod(shape) + len(shape) * max(shape) + 1)
-    keep = nbytes <= _POOL_CACHE_BYTES
-    with _pool_lock:
-        pool = _pool_cache.get(key)
-        if pool is not None:
-            _pool_cache.move_to_end(key)
-        elif keep:
-            _make_room(nbytes)
-    if pool is None and not keep:
-        for stack, spectra in _drawn_chunks(shape, seed, count):
-            yield stack, _schatten_norms(spectra, params)
-        return
-    if pool is None:
-        pool = (tuple(_drawn_chunks(shape, seed, count)), {})
-        with _pool_lock:
-            _make_room(nbytes)
-            _pool_cache[key] = pool
-    chunks, norms = pool
-    per_chunk = norms.get(params)
-    if per_chunk is None:
-        per_chunk = tuple(_schatten_norms(spectra, params) for _, spectra in chunks)
-        for n in per_chunk:
-            n.flags.writeable = False
-        with _pool_lock:
-            _make_room(8 * count)
-            if _pool_cache.get(key) is pool:
-                norms[params] = per_chunk
-    for (stack, _), n in zip(chunks, per_chunk):
-        yield stack, n
 
 
 _SPECIAL_SCALES = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
@@ -567,13 +470,15 @@ def _specials(x: np.ndarray, seed: int, trials: int):
 def subgradient_inequality_test(
     x, g, params: SchattenParams, trials: int = 10_000, seed: int = 0
 ) -> float:
-    """Minimum of N(y) - N(x) - <g, y - x> over a seeded sample family.
+    """Minimum of N(y) - N(x) - <g, y - x> over a seeded family of specials.
 
-    The family starts with scaled copies of x (including 0), rotated copies
-    under random orthogonal frames, symmetric and odeco specials, and fills
-    the remaining trials with Gaussian tensors at several scales. The
-    minimum is nonnegative up to roundoff exactly when g is a subgradient
-    of the norm at x.
+    The family is 7 scaled copies of x (including 0), 8 copies rotated by
+    random orthogonal frames, 8 symmetric specials when x is cubic and 8
+    odeco specials: 31 tensors for a cubic x, 23 otherwise. ``trials`` caps
+    the family at its first ``trials`` members; a value past their count
+    changes nothing, and no other sample is drawn. The minimum is
+    nonnegative up to roundoff when g is a subgradient of the norm at x, and
+    a negative value proves that g is not one.
 
     The specials and their mode spectra depend on neither ``params`` nor
     ``g``. The last set built is kept, keyed on (shape, bytes of x, seed,
@@ -587,13 +492,6 @@ def subgradient_inequality_test(
     that shape and seed builds only its scaled and rotated copies. N(x),
     the specials' norms under ``params`` and every pairing with ``g`` are
     computed on every call.
-
-    The Gaussian tensors are the probe pool of (shape, seed, count), drawn
-    in chunks of a few MiB and reduced to a running minimum, so memory does
-    not grow with ``trials``; pools up to 32 MiB are kept as chunks and
-    reused by later calls with the same key, together with their norms
-    under each ``params`` already asked for, so a repeated call decomposes
-    no probe and recomputes no probe norm.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -604,17 +502,10 @@ def subgradient_inequality_test(
     _check_shape(x.shape)
     stack, spectra = _specials(x, seed, trials)
 
+    norms = _schatten_norms(spectra, params)
     norm_x = schatten_norm(x, params)
-    g_dot_x = inner(g, x)
-
-    def slack(stack: np.ndarray, norms: np.ndarray) -> float:
-        pairings = _pairings(stack, g)
-        return float(np.min(norms - norm_x - (pairings - g_dot_x)))
-
-    best = slack(stack, _schatten_norms(spectra, params))
-    for chunk in _probe_chunks(x.shape, seed, trials - stack.shape[0], params):
-        best = min(best, slack(*chunk))
-    return best
+    pairings = _pairings(stack, g)
+    return float(np.min(norms - norm_x - (pairings - inner(g, x))))
 
 
 def conjugate_value_tuple(g, params: SchattenParams) -> float:

@@ -1,12 +1,7 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from collections import OrderedDict
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -444,6 +439,22 @@ def test_membership_verdicts_do_not_depend_on_the_scale_of_x(seed, shape, params
         assert check_membership(10.0**exponent * dense, y, params).accepted == verdict
 
 
+def _traced_peak(call):
+    # call()'s result and its traced peak in bytes above what was traced
+    # before it
+    already = tracemalloc.is_tracing()
+    if not already:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not already:
+            tracemalloc.stop()
+
+
 class TestSamplingOracle:
     @pytest.mark.parametrize("params", PARAM_GRID_3)
     def test_construction_slack(self, params):
@@ -460,7 +471,7 @@ class TestSamplingOracle:
         slack = subgradient_inequality_test(
             dense, np.zeros((3, 3, 3)), params, trials=100, seed=0
         )
-        # y = 0 sits in the pool, where the slack equals -N(x)
+        # y = 0 is a special, where the slack equals -N(x)
         assert slack == pytest.approx(-nuclear_norm(dense), rel=1e-12)
 
     def test_zero_point_zero_candidate(self):
@@ -469,6 +480,31 @@ class TestSamplingOracle:
             np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), params, trials=200, seed=0
         )
         assert slack >= -1e-12
+
+    @pytest.mark.parametrize("dims, count", [((3, 3, 3), 31), ((3, 4, 5), 23)])
+    def test_trials_past_the_specials_change_nothing(self, dims, count):
+        # the minimum is over the specials alone: a Gaussian g, whose slack
+        # any extra sample could lower, gives the same bits at every cap
+        # from their count on
+        x = to_dense(random_odeco(dims, 2, 11))
+        g = np.random.default_rng(5).standard_normal(dims)
+        params = SchattenParams(3, 2, 1)
+        slacks = [
+            _cold_slack(x, g, params, trials=trials, seed=4)
+            for trials in (count, 31, 10_000)
+        ]
+        assert slacks[0] == slacks[1] == slacks[2]
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        x = to_dense(random_odeco((3, 3, 3), 2, 11))
+        g = np.random.default_rng(5).standard_normal(x.shape)
+        params = SchattenParams(3, 2, 1)
+        (few, few_peak), (many, many_peak) = [
+            _traced_peak(lambda: _cold_slack(x, g, params, trials=trials, seed=4))
+            for trials in (31, 1_000_000)
+        ]
+        assert many_peak <= 1.25 * few_peak
+        assert few == many
 
 
 def _per_seed_specials(x, seed):
@@ -504,7 +540,7 @@ class TestStackedSpecials:
     @pytest.mark.parametrize("dims, count", [((3, 3, 3), 31), ((3, 4, 5), 23)])
     @pytest.mark.parametrize("params", PARAM_GRID_3)
     def test_specials_only_slack_equals_per_seed_loop(self, dims, count, params):
-        # trials equal to the special count, so no probe enters the minimum
+        # trials equal to the special count: every special enters the minimum
         x = to_dense(random_odeco(dims, 2, 23))
         g = np.random.default_rng(24).standard_normal(dims)
         specials = _per_seed_specials(x, 6)
@@ -546,7 +582,8 @@ CERTIFICATE_POINTS = _certificate_points()
 
 class TestCertificateBits:
     """check_membership is the public composition, and the subgradient test
-    keeps its probe norms with its pool; neither may change a bit."""
+    is the same with its specials kept or built again; neither may change a
+    bit."""
 
     @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
     def test_membership_fields_equal_the_public_composition(self, name):
@@ -577,12 +614,14 @@ class TestCertificateBits:
 
     @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
     def test_inequality_test_is_the_same_cold_warm_and_streamed(
-        self, name, fresh_pool_cache, monkeypatch
+        self, name, monkeypatch
     ):
-        # several chunks a pool; 31 or 23 specials, then 300 or 308 probes
+        # 31 or 23 specials, and trials past their count; streamed means
+        # built on every call, with the cap at 0
         x = CERTIFICATE_POINTS[name]
         g = np.random.default_rng(23).standard_normal(x.shape)
-        monkeypatch.setattr(subdiff, "_CHUNK_BYTES", 8 * x.size * 97)
+        monkeypatch.setattr(subdiff, "_last_specials", None)
+        monkeypatch.setattr(subdiff, "_last_point_free", None)
 
         def slack(params):
             return subgradient_inequality_test(x, g, params, trials=331, seed=9)
@@ -592,17 +631,11 @@ class TestCertificateBits:
         with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
             for params in grid:
                 streamed.append(slack(params))
-                assert not subdiff._pool_cache
-        # the pool drawn at the first grid point, norms new at each
-        warm_pool = [slack(params) for params in grid]
-        warm = [slack(params) for params in grid]  # pool and norms cached
-        cold = []
-        for params in grid:
-            subdiff._pool_cache.clear()
-            cold.append(slack(params))
-        assert cold == warm_pool == warm == streamed
-        (chunks, norms), = subdiff._pool_cache.values()
-        assert len(chunks) > 1 and list(norms) == [grid[-1]]
+                assert subdiff._last_specials is subdiff._last_point_free is None
+        # the specials built at the first grid point, norms new at each
+        warm = [slack(params) for params in grid]
+        cold = [_cold_slack(x, g, params, trials=331, seed=9) for params in grid]
+        assert cold == warm == streamed
 
 
 @pytest.fixture
@@ -771,7 +804,7 @@ class TestSpecialsMemo:
             assert spy.call_count == 8
 
     def test_a_stack_over_the_cap_is_not_kept(self, monkeypatch):
-        # 31 specials and no probe, so the cap bounds the specials alone
+        # the 31 specials of a cubic point, which the cap bounds
         x = np.random.default_rng(34).standard_normal((3, 3, 3))
         params = SchattenParams(2, 1, 1)
         slack = subgradient_inequality_test(x, x, params, trials=31)
@@ -1027,6 +1060,25 @@ class TestConjugateEstimate:
         assert 0.5 <= np.max(np.abs(y)) < 1.0
         assert inner(x, y) - schatten_norm(y, params) == estimate.best_value
 
+    def test_estimator_memory_does_not_grow_with_its_budget(self):
+        # the estimator draws no sample, so budgets of 5,002 and 50,002 peak
+        # alike
+        params = SchattenParams(2, 2, 1)
+        # a Gaussian x at spectral dual ratio 1.2, which y = x certifies
+        x = np.random.default_rng(0).standard_normal((3, 3, 3))
+        x *= 1.2 / subdiff._spectral_dual_ratio(x, params)
+        peaks = []
+        for budget in (5_002, 50_002):
+            estimate, peak = _traced_peak(
+                lambda: estimate_tensor_conjugate(x, params, budget=budget, seed=0)
+            )
+            peaks.append(peak)
+            assert estimate.best_value > 0.0
+            # y = 0, the aligned certificate and y = x
+            assert estimate.evaluations == 3
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] <= 8 << 16
+
 
 class TestExponentValidation:
     def test_lp_norm_rejects_p_below_one(self):
@@ -1077,12 +1129,12 @@ class TestPinnedValues:
     REP = random_odeco((3, 3, 3), 2, 11)
     PARAMS = SchattenParams(3, 2, 1)
 
-    def test_inequality_test_with_gaussian_pool(self):
+    def test_inequality_test_with_a_gaussian_candidate(self):
         g = np.random.default_rng(5).standard_normal((3, 3, 3))
         slack = subgradient_inequality_test(
             to_dense(self.REP), g, self.PARAMS, trials=2000, seed=4
         )
-        assert abs(slack - (-24.739999456255)) <= 1e-12
+        assert abs(slack - (-3.1454610559829694)) <= 1e-12
 
     def test_inequality_test_on_specials_only(self):
         g = 1.5 * schatten_subgradient(self.REP, self.PARAMS)
@@ -1218,12 +1270,12 @@ def test_dual_ratio_at_most_one_proves_the_conjugate_zero(dims, p, q, ratio, see
     estimate = estimate_tensor_conjugate(x, params, seed=seed)
     assert (estimate.best_value, estimate.evaluations) == (0.0, 1)
     assert estimate.maximizer.shape == shape and not estimate.maximizer.any()
-    # no probe beats y = 0 (pools streamed, so examples do not fill the cache) ...
-    with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
-        for stack, norms in subdiff._probe_chunks(shape, seed, 200, params):
-            pairings = subdiff._pairings(stack, x)
-            scale = np.maximum(1.0, np.maximum(np.abs(pairings), norms))
-            assert np.all(pairings - norms <= 1e-12 * scale)
+    # no seeded Gaussian direction beats y = 0 ...
+    stack = np.random.default_rng([seed, 1]).standard_normal((200,) + shape)
+    norms = _schatten_norms(_stacked_spectra(stack), params)
+    pairings = subdiff._pairings(stack, x)
+    scale = np.maximum(1.0, np.maximum(np.abs(pairings), norms))
+    assert np.all(pairings - norms <= 1e-12 * scale)
     # ... nor does the aligned certificate: ||diag||_{p*} <= ratio lam D^(1/q)
     core = hosvd(x).core
     diag = core[tuple(np.arange(min(shape)) for _ in shape)]
@@ -1282,249 +1334,3 @@ def test_tied_weights_pin_a_missed_certificate(params):
     assert estimate.inside_dual_ball is False
     assert np.array_equal(estimate.maximizer, x)
     assert estimate.best_value == inner(x, x) - schatten_norm(x, params)
-
-
-def _cached_bytes():
-    # probes, spectra and every kept set of norms
-    total = 0
-    for chunks, norms in subdiff._pool_cache.values():
-        total += sum(stack.nbytes + spectra.nbytes for stack, spectra in chunks)
-        total += sum(n.nbytes for per_chunk in norms.values() for n in per_chunk)
-    return total
-
-
-@pytest.fixture
-def fresh_pool_cache(monkeypatch):
-    monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
-
-
-# Prints the digest of every probe objective of one 4^3 pool, cached (drawn,
-# then replayed) and streamed, at 1, 7, the default number and all of its
-# probes per chunk, then subgradient_inequality_test's result on that shape. The pool
-# is the one behind 10,000 trials of subgradient_inequality_test at 4^3 (31
-# specials, then 9,969 probes); OpenBLAS threads a matrix-vector product over
-# all of it, and at 1 and 2 threads rounds some of its rows differently.
-_THREAD_COUNT_SCRIPT = """
-import hashlib
-
-import numpy as np
-
-from tensorspectra import (
-    SchattenParams,
-    random_odeco,
-    subgradient_inequality_test,
-    to_dense,
-)
-from tensorspectra import subdiff
-
-shape, seed, count = (4, 4, 4), 1, 9_969
-params = SchattenParams(3, 2, 1)
-g = 3.0 * np.random.default_rng(8).standard_normal(shape)
-
-
-def digest(a):
-    return hashlib.sha256(a.tobytes()).hexdigest()
-
-
-def objective():
-    return digest(np.concatenate([
-        subdiff._pairings(stack, g) - norms
-        for stack, norms in subdiff._probe_chunks(shape, seed, count, params)
-    ]))
-
-
-chunk_bytes, cache_bytes = subdiff._CHUNK_BYTES, subdiff._POOL_CACHE_BYTES
-for probes in (1, 7, None, count):
-    subdiff._CHUNK_BYTES = chunk_bytes if probes is None else 8 * 64 * probes
-    subdiff._pool_cache.clear()
-    subdiff._POOL_CACHE_BYTES = cache_bytes
-    print(objective())
-    print(objective())
-    subdiff._POOL_CACHE_BYTES = 0
-    print(objective())
-subdiff._CHUNK_BYTES, subdiff._POOL_CACHE_BYTES = chunk_bytes, cache_bytes
-x = to_dense(random_odeco(shape, 4, 60))
-print(repr(subgradient_inequality_test(x, g, params, trials=10_000, seed=seed)))
-"""
-
-
-class TestProbePool:
-    SHAPE = (3, 3, 3)
-    COUNT = 300
-    PARAMS = SchattenParams(3, 2, 1)
-    # bytes of a cached probe: its 27 entries, its three mode spectra and one
-    # norm per parameter set asked for
-    PROBE_BYTES = 8 * (27 + 3 * 3)
-    NORM_BYTES = 8
-    # probes per chunk; None keeps the default
-    CHUNKS = [1, 7, 28, None, 10**9]
-
-    def _set_chunk(self, monkeypatch, probes):
-        if probes is not None:
-            chunk_bytes = probes * 8 * math.prod(self.SHAPE)
-            monkeypatch.setattr(subdiff, "_CHUNK_BYTES", chunk_bytes)
-
-    def _results(self):
-        # a large Gaussian g puts the minimum slack on a probe, where the
-        # pairing's rounding shows
-        rep = random_odeco(self.SHAPE, 3, 60)
-        dense = to_dense(rep)
-        rng = np.random.default_rng(8)
-        g = 3.0 * rng.standard_normal(self.SHAPE)
-        params = SchattenParams(3, 2, 1)
-        trials = 31 + self.COUNT  # the 31 specials, then COUNT probes
-        return subgradient_inequality_test(dense, g, params, trials=trials, seed=5)
-
-    @pytest.mark.parametrize("budget", [None, 0])
-    @pytest.mark.parametrize("probes", CHUNKS)
-    def test_results_do_not_depend_on_the_chunking(
-        self, fresh_pool_cache, monkeypatch, probes, budget
-    ):
-        reference = self._results()
-        monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
-        self._set_chunk(monkeypatch, probes)
-        if budget is not None:
-            monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", budget)
-        assert self._results() == reference  # drawn
-        assert self._results() == reference  # cached, or drawn again
-
-    @pytest.mark.parametrize("count", [1, 2, 5, 301, 303])
-    @pytest.mark.parametrize("probes", CHUNKS)
-    def test_streamed_chunks_concatenate_to_the_pool(
-        self, fresh_pool_cache, monkeypatch, count, probes
-    ):
-        (pool,) = subdiff._probe_chunks(self.SHAPE, 3, count, self.PARAMS)
-        assert not pool[0].flags.writeable and not pool[1].flags.writeable
-        self._set_chunk(monkeypatch, probes)
-        monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 0)
-        chunks = list(subdiff._probe_chunks(self.SHAPE, 3, count, self.PARAMS))
-        assert not subdiff._pool_cache
-        assert np.array_equal(np.concatenate([c[0] for c in chunks]), pool[0])
-        assert np.array_equal(np.concatenate([c[1] for c in chunks]), pool[1])
-
-    def test_cache_stays_within_its_byte_budget(self, fresh_pool_cache, monkeypatch):
-        budget = 100_000
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", budget)
-        # a pool is kept when it fits with the norms of one parameter set
-        per_probe = self.PROBE_BYTES + self.NORM_BYTES
-        grid = PARAM_GRID_3[:3]
-        counts = (300, 50, 200, 400, 10, 340, 120, 337, 338, 347, 300)
-        for k, count in enumerate(counts):
-            params = grid[k % len(grid)]
-            chunks = list(subdiff._probe_chunks(self.SHAPE, 0, count, params))
-            assert sum(len(stack) for stack, _ in chunks) == count
-            assert _cached_bytes() <= budget
-            key = (self.SHAPE, 0, count)
-            assert (key in subdiff._pool_cache) == (count * per_probe <= budget)
-            if key in subdiff._pool_cache:
-                assert next(reversed(subdiff._pool_cache)) == key
-                assert params in subdiff._pool_cache[key][1]
-        # more norms of the last pool: they count, and older pools make room
-        for params in grid:
-            list(subdiff._probe_chunks(self.SHAPE, 0, 300, params))
-            assert _cached_bytes() <= budget
-        key = (self.SHAPE, 0, 300)
-        assert list(subdiff._pool_cache) == [key]
-        assert set(subdiff._pool_cache[key][1]) == set(grid)
-        assert _cached_bytes() == 300 * (self.PROBE_BYTES + 3 * self.NORM_BYTES)
-        # a pool that fits with one set of norms only: a second set would
-        # pass the cap, so the pool makes room for it and is dropped
-        for params in grid:
-            list(subdiff._probe_chunks(self.SHAPE, 0, 337, params))
-            assert _cached_bytes() <= budget
-
-    def test_cache_evicts_the_least_recently_used_pool(
-        self, fresh_pool_cache, monkeypatch
-    ):
-        # room for two of these pools of 100 to 102 probes with one set of
-        # norms, 296 bytes a probe
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 300 * 296)
-        for count in (100, 101, 100, 102):  # the third call is a hit
-            list(subdiff._probe_chunks(self.SHAPE, 0, count, self.PARAMS))
-        assert list(subdiff._pool_cache) == [(self.SHAPE, 0, 100), (self.SHAPE, 0, 102)]
-
-    def test_eviction_drops_a_pools_norms_with_its_chunks(
-        self, fresh_pool_cache, monkeypatch
-    ):
-        # pool A with the norms of three parameter sets, then pool B, which
-        # fits only once A and all of its norms are gone
-        grid = PARAM_GRID_3[:3]
-        first = {
-            params: list(subdiff._probe_chunks(self.SHAPE, 0, 150, params))
-            for params in grid
-        }
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 300 * 296)
-        list(subdiff._probe_chunks(self.SHAPE, 1, 200, self.PARAMS))
-        assert list(subdiff._pool_cache) == [(self.SHAPE, 1, 200)]
-        assert _cached_bytes() == 200 * (self.PROBE_BYTES + self.NORM_BYTES)
-        # A drawn again pairs fresh norms with its chunks
-        monkeypatch.setattr(subdiff, "_pool_cache", OrderedDict())
-        for params in grid:
-            again = list(subdiff._probe_chunks(self.SHAPE, 0, 150, params))
-            assert [(s.tobytes(), n.tobytes()) for s, n in again] == [
-                (s.tobytes(), n.tobytes()) for s, n in first[params]
-            ]
-
-    def test_streamed_pools_store_no_norms(self, fresh_pool_cache, monkeypatch):
-        # a pool over the cap leaves the cache, and the norms kept in it, as
-        # they were
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", 100 * 296)
-        list(subdiff._probe_chunks(self.SHAPE, 0, 100, self.PARAMS))
-        before = _cached_bytes()
-        for params in PARAM_GRID_3:
-            chunks = list(subdiff._probe_chunks(self.SHAPE, 0, 101, params))
-            assert sum(len(stack) for stack, _ in chunks) == 101
-        assert list(subdiff._pool_cache) == [(self.SHAPE, 0, 100)]
-        assert list(subdiff._pool_cache[(self.SHAPE, 0, 100)][1]) == [self.PARAMS]
-        assert _cached_bytes() == before
-
-    def test_probe_values_do_not_depend_on_the_blas_thread_count(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        runs = [
-            subprocess.Popen(
-                [sys.executable, "-c", _THREAD_COUNT_SCRIPT],
-                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads)),
-                stdout=subprocess.PIPE,
-                text=True,
-            )
-            for threads in (1, 2)
-        ]
-        try:
-            outputs = [run.communicate(timeout=300)[0] for run in runs]
-        finally:
-            for run in runs:
-                run.kill()
-        assert [run.returncode for run in runs] == [0, 0]
-        assert outputs[0] == outputs[1]
-        lines = outputs[0].splitlines()
-        assert len(lines) == 4 * 3 + 1
-        assert len(set(lines[:12])) == 1
-
-    def test_estimator_memory_does_not_grow_with_its_budget(self, fresh_pool_cache):
-        # the estimator draws no probe, so budgets of 5,002 and 50,002 peak
-        # alike and no pool enters the cache
-        params = SchattenParams(2, 2, 1)
-        # a Gaussian x at spectral dual ratio 1.2, which y = x certifies
-        x = np.random.default_rng(0).standard_normal(self.SHAPE)
-        x *= 1.2 / subdiff._spectral_dual_ratio(x, params)
-        already = tracemalloc.is_tracing()
-        if not already:
-            tracemalloc.start()
-        peaks = []
-        try:
-            for budget in (5_002, 50_002):
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                estimate = estimate_tensor_conjugate(x, params, budget=budget, seed=0)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-                assert estimate.best_value > 0.0
-                # y = 0, the aligned certificate and y = x
-                assert estimate.evaluations == 3
-        finally:
-            if not already:
-                tracemalloc.stop()
-        assert not subdiff._pool_cache
-        assert peaks[1] <= 1.25 * peaks[0]
-        assert peaks[1] <= 8 << 16
