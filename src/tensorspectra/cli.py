@@ -1,15 +1,17 @@
 """Command line interface over the JSON tensor formats.
 
 Every command prints a single JSON document on stdout. Exit codes: 0 on
-success, 1 on domain errors (with an ``{"error": ...}`` document), 2 on
-usage errors. All randomness is seeded (default seed 0). ``run`` builds its
-parser once per process and reuses it.
+success, 1 on domain errors (with an ``{"error": ...}`` document) and,
+silently, when the reader closes stdout early, 2 on usage errors. All
+randomness is seeded (default seed 0). ``run`` builds its parser once per
+process and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -138,12 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload, out_path=None) -> None:
     text = payload if isinstance(payload, str) else serialize.dumps_json(payload)
     if out_path is None:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, inside run
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.write("\n")
-        print(serialize.dumps_json({"path": str(out_path)}))
+        print(serialize.dumps_json({"path": str(out_path)}), flush=True)
 
 
 def _cmd_gen(args) -> int:
@@ -308,6 +310,13 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        # the reader closed stdout: print nothing more, and send what is left
+        # in its buffer to os.devnull so that the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError, ArithmeticError, SvdConvergenceError) as exc:
         print(serialize.dumps_json({"error": str(exc)}))
         return 1

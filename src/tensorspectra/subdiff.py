@@ -351,11 +351,10 @@ def check_membership(
     )
 
 
-# Bytes kept, separately, by each of the two specials entries of
-# subgradient_inequality_test: the last point's set (up to 31 tensors and
-# their spectra) and the point-free specials of the last (shape, seed) (up to
-# 16 tensors, their spectra and 8 frames per mode). A larger set is built on
-# every call and never stored.
+# Bytes kept by the one specials entry of subgradient_inequality_test: the
+# point-free specials of the last (shape, seed), up to 16 tensors, their
+# spectra and 8 frames per mode. A larger set is built on every call and
+# never stored.
 _POOL_CACHE_BYTES = 32 << 20
 
 
@@ -428,45 +427,6 @@ def _point_free_specials(shape: tuple[int, ...], seed: int):
     return frames, stack, spectra
 
 
-# ((shape, bytes, seed, trials), (stack, spectra)) of the last specials kept by
-# _specials; replaced whole by one assignment, so a reader never sees a torn
-# pair
-_last_specials: tuple | None = None
-
-
-def _specials(x: np.ndarray, seed: int, trials: int):
-    """The first ``trials`` specials at ``x`` and their spectra, both read-only.
-
-    The specials are 7 scaled copies of x (including 0), 8 copies rotated by
-    random orthogonal frames, then the point-free specials of
-    :func:`_point_free_specials`: 8 symmetrized Gaussian tensors when x is
-    cubic and 8 odeco tensors. Each special equals, bit for bit, its
-    per-seed construction with ``random_orthogonal``, ``multi_mode_mul`` and
-    ``symmetrize``, and the spectra equal ``_stacked_spectra`` of the whole
-    stack, since each is decomposed alone. A miss builds and decomposes only
-    the 15 copies of x. The last set built is kept when it fits
-    ``_POOL_CACHE_BYTES`` (see :func:`subgradient_inequality_test`).
-    """
-    global _last_specials
-    key = (x.shape, x.tobytes(), seed, trials)
-    last = _last_specials
-    if last is not None and last[0] == key:
-        return last[1]
-    frames, free, free_spectra = _point_free_specials(x.shape, seed)
-    _log.debug("specials: building the point part at shape %s", x.shape)
-    point = np.concatenate(
-        [np.multiply.outer(_SPECIAL_SCALES, x), _rotated_copies(x, frames)]
-    )[:trials]
-    rest = trials - point.shape[0]
-    stack = np.concatenate([point, free[:rest]])
-    spectra = np.concatenate([_stacked_spectra(point), free_spectra[:rest]])
-    stack.flags.writeable = False
-    spectra.flags.writeable = False
-    if stack.nbytes + spectra.nbytes <= _POOL_CACHE_BYTES:
-        _last_specials = (key, (stack, spectra))
-    return stack, spectra
-
-
 def subgradient_inequality_test(
     x, g, params: SchattenParams, trials: int = 10_000, seed: int = 0
 ) -> float:
@@ -480,18 +440,16 @@ def subgradient_inequality_test(
     nonnegative up to roundoff when g is a subgradient of the norm at x, and
     a negative value proves that g is not one.
 
-    The specials and their mode spectra depend on neither ``params`` nor
-    ``g``. The last set built is kept, keyed on (shape, bytes of x, seed,
-    trials), when its specials and spectra fit ``_POOL_CACHE_BYTES`` (32
-    MiB); a larger set is built on every call. So a sweep of one point over
-    a parameter grid builds and decomposes its specials once. Bytes, not
-    float equality, decide a hit: -0.0 and 0.0 differ, and an x changed in
-    place builds them again. The frames and the symmetric and odeco
-    specials depend on (shape, seed) alone and are kept, with their
-    spectra, in a second entry under the same cap, so the next point of
-    that shape and seed builds only its scaled and rotated copies. N(x),
-    the specials' norms under ``params`` and every pairing with ``g`` are
-    computed on every call.
+    The norm is a function of the mode spectra alone, which scaling
+    multiplies by |c| and a rotation mode by mode leaves unchanged. So x's
+    copies take the closed forms N(cx) = |c| N(x) and N(Rx) = N(x), and only
+    their pairings with g need the rotated tensors, which are built on every
+    call and not kept. The frames and the symmetric and odeco specials
+    depend on (shape, seed) alone; they and those specials' spectra are
+    kept for the last (shape, seed) when they fit ``_POOL_CACHE_BYTES`` (32
+    MiB), so the points of one shape and seed draw and decompose them once.
+    N(x), the specials' norms under ``params`` and every pairing with ``g``
+    are computed on every call.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -500,12 +458,20 @@ def subgradient_inequality_test(
     if trials < 1:
         raise ValueError("trials: need at least one sample")
     _check_shape(x.shape)
-    stack, spectra = _specials(x, seed, trials)
+    if not np.isfinite(g).all():
+        raise ValueError("g: entries must be finite")
+    frames, free, free_spectra = _point_free_specials(x.shape, seed)
 
-    norms = _schatten_norms(spectra, params)
     norm_x = schatten_norm(x, params)
-    pairings = _pairings(stack, g)
-    return float(np.min(norms - norm_x - (pairings - inner(g, x))))
+    gx = inner(g, x)
+    slacks = np.concatenate(
+        [
+            (np.abs(_SPECIAL_SCALES) - 1.0) * norm_x - (_SPECIAL_SCALES - 1.0) * gx,
+            gx - _pairings(_rotated_copies(x, frames), g),
+            _schatten_norms(free_spectra, params) - norm_x - (_pairings(free, g) - gx),
+        ]
+    )
+    return float(np.min(slacks[:trials]))
 
 
 def conjugate_value_tuple(g, params: SchattenParams) -> float:

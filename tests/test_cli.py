@@ -399,6 +399,26 @@ def test_module_entry_point(tmp_path):
     assert len(payload["data"]) == 4
 
 
+def test_a_closed_pipe_ends_the_command_quietly():
+    # the reader takes one byte of a ~0.5 MB document and closes the pipe, so
+    # the write blocks and then fails: no traceback, a nonzero exit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["gen", "--kind", "gaussian", "--shape", "30x30x30"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "tensorspectra", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert stderr == b""
+    assert code != 0
+
+
 def _outputs(sequence, tmp_path):
     # exit code and stdout of each command, run one after another
     results = []

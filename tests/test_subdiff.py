@@ -42,6 +42,7 @@ from tensorspectra import (
     mode_spectrum,
     multi_mode_mul,
     random_orthogonal,
+    spectral,
     subdiff,
     symmetrize,
     vn_report,
@@ -481,6 +482,17 @@ class TestSamplingOracle:
         )
         assert slack >= -1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_candidate_is_rejected(self, bad):
+        # check_membership rejects such a y too; no nan slack and no warning
+        x = to_dense(random_odeco((3, 3, 3), 2, 11))
+        g = np.random.default_rng(5).standard_normal(x.shape)
+        g[1, 0, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^g: entries must be finite$"):
+                subgradient_inequality_test(x, g, SchattenParams(3, 2, 1), trials=31)
+
     @pytest.mark.parametrize("dims, count", [((3, 3, 3), 31), ((3, 4, 5), 23)])
     def test_trials_past_the_specials_change_nothing(self, dims, count):
         # the minimum is over the specials alone: a Gaussian g, whose slack
@@ -507,12 +519,15 @@ class TestSamplingOracle:
         assert few == many
 
 
+_SCALES = (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)
+
+
 def _per_seed_specials(x, seed):
     # the special candidates built one at a time, each from its own seeded
     # random_orthogonal, multi_mode_mul, symmetrize and random_odeco call
     dims = x.shape
     rng = np.random.default_rng([seed, 104729])
-    specials = [c * x for c in (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)]
+    specials = [c * x for c in _SCALES]
     for _ in range(8):
         frames = [random_orthogonal(n, int(rng.integers(2**63 - 1))) for n in dims]
         specials.append(multi_mode_mul(x, frames))
@@ -540,18 +555,38 @@ class TestStackedSpecials:
     @pytest.mark.parametrize("dims, count", [((3, 3, 3), 31), ((3, 4, 5), 23)])
     @pytest.mark.parametrize("params", PARAM_GRID_3)
     def test_specials_only_slack_equals_per_seed_loop(self, dims, count, params):
-        # trials equal to the special count: every special enters the minimum
+        # trials equal to the special count: every special enters the minimum.
+        # x's 15 copies take N(cx) = |c| N(x) and N(Rx) = N(x), so only their
+        # pairings read the copies; the other specials are decomposed
         x = to_dense(random_odeco(dims, 2, 23))
         g = np.random.default_rng(24).standard_normal(dims)
         specials = _per_seed_specials(x, 6)
         assert specials.shape[0] == count
-        norms = _schatten_norms(_stacked_spectra(specials), params)
-        pairings = subdiff._pairings(specials, g)
-        expected = float(
-            np.min(norms - schatten_norm(x, params) - (pairings - inner(g, x)))
+        norm_x, gx = schatten_norm(x, params), inner(g, x)
+        scales = np.array(_SCALES)
+        free = specials[15:]
+        norms = _schatten_norms(_stacked_spectra(free), params)
+        slacks = np.concatenate(
+            [
+                (np.abs(scales) - 1.0) * norm_x - (scales - 1.0) * gx,
+                gx - subdiff._pairings(specials[7:15], g),
+                norms - norm_x - (subdiff._pairings(free, g) - gx),
+            ]
         )
         got = subgradient_inequality_test(x, g, params, trials=count, seed=6)
-        assert got == expected
+        assert got == float(np.min(slacks))
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5), (2, 3, 4, 2)])
+    @pytest.mark.parametrize("params", PARAM_GRID_3)
+    def test_copies_of_x_have_the_closed_form_norms(self, dims, params):
+        # the decomposed copies agree with N(cx) = |c| N(x) and N(Rx) = N(x)
+        # to within 1e-14 relative (a few ulp are seen)
+        x = np.random.default_rng(41).standard_normal(dims)
+        copies = _per_seed_specials(x, 6)[:15]
+        norm_x = schatten_norm(x, params)
+        expected = np.concatenate([np.abs(_SCALES) * norm_x, np.full(8, norm_x)])
+        got = _schatten_norms(_stacked_spectra(copies), params)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
     def test_a_cold_shape_and_seed_draws_eight_odeco_specials(self, monkeypatch):
         # the odeco specials depend on (shape, seed) alone: a second point of
@@ -620,7 +655,6 @@ class TestCertificateBits:
         # built on every call, with the cap at 0
         x = CERTIFICATE_POINTS[name]
         g = np.random.default_rng(23).standard_normal(x.shape)
-        monkeypatch.setattr(subdiff, "_last_specials", None)
         monkeypatch.setattr(subdiff, "_last_point_free", None)
 
         def slack(params):
@@ -631,7 +665,7 @@ class TestCertificateBits:
         with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
             for params in grid:
                 streamed.append(slack(params))
-                assert subdiff._last_specials is subdiff._last_point_free is None
+                assert subdiff._last_point_free is None
         # the specials built at the first grid point, norms new at each
         warm = [slack(params) for params in grid]
         cold = [_cold_slack(x, g, params, trials=331, seed=9) for params in grid]
@@ -640,22 +674,19 @@ class TestCertificateBits:
 
 @pytest.fixture
 def fresh_specials(monkeypatch):
-    monkeypatch.setattr(subdiff, "_last_specials", None)
     monkeypatch.setattr(subdiff, "_last_point_free", None)
 
 
 def _cold_slack(x, g, params, **kwargs):
-    # a call with both specials entries empty
-    subdiff._last_specials = None
+    # a call with the specials entry empty
     subdiff._last_point_free = None
     return subgradient_inequality_test(x, g, params, **kwargs)
 
 
 @pytest.mark.usefixtures("fresh_specials")
 class TestSpecialsMemo:
-    """The two kept specials entries behind ``subgradient_inequality_test``:
-    the last point's set, and the point-free specials of the last (shape,
-    seed)."""
+    """The one kept specials entry behind ``subgradient_inequality_test``:
+    the point-free specials of the last (shape, seed)."""
 
     @staticmethod
     def bits(values):
@@ -671,63 +702,23 @@ class TestSpecialsMemo:
             return subgradient_inequality_test(x, g, params, trials=60, seed=4)
 
         hits = [slack(params) for params in grid]  # built at the first point
-        kept = subdiff._last_specials
+        kept = subdiff._last_point_free
         assert [slack(params) for params in grid] == hits
-        assert subdiff._last_specials is kept
+        assert subdiff._last_point_free is kept
         cold = []
         for params in grid:
-            monkeypatch.setattr(subdiff, "_last_specials", None)
+            monkeypatch.setattr(subdiff, "_last_point_free", None)
             cold.append(slack(params))
         assert self.bits(hits) == self.bits(cold)
 
     def test_the_kept_arrays_are_read_only(self):
-        x = np.random.default_rng(27).standard_normal((3, 3, 3))
-        stack, spectra = subdiff._specials(x, 0, 31)
-        hit = subdiff._specials(x.copy(), 0, 31)
-        assert hit[0] is stack and hit[1] is spectra
-        for a in (stack, spectra):
+        frames, free, free_spectra = subdiff._point_free_specials((3, 3, 3), 0)
+        hit = subdiff._point_free_specials((3, 3, 3), 0)
+        assert hit[0] is frames and hit[1] is free and hit[2] is free_spectra
+        for a in (*frames, free, free_spectra):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
-        assert stack.shape == (31, 3, 3, 3)
-        assert spectra.tobytes() == _stacked_spectra(np.array(stack)).tobytes()
-
-    def test_an_in_place_change_misses(self):
-        params = SchattenParams(2, 2, 1)
-        x = np.random.default_rng(28).standard_normal((2, 3, 4))
-        g = np.random.default_rng(29).standard_normal(x.shape)
-        before = subgradient_inequality_test(x, g, params, trials=23)
-        x[0, 0, 0] += 1.0
-        with mock.patch.object(
-            subdiff, "_rotated_copies", wraps=subdiff._rotated_copies
-        ) as spy:
-            after = subgradient_inequality_test(x, g, params, trials=23)
-        assert spy.call_count == 1
-        assert after == _cold_slack(x, g, params, trials=23)
-        assert after != before
-
-    def test_signed_zeros_are_distinct_keys(self):
-        x = np.random.default_rng(30).standard_normal((3, 3, 3))
-        x[1, 2, 0] = 0.0
-        y = x.copy()
-        y[1, 2, 0] = -0.0
-        assert np.array_equal(x, y)
-        first = subdiff._specials(x, 0, 31)
-        second = subdiff._specials(y, 0, 31)
-        assert second[0] is not first[0]
-        assert subdiff._specials(y, 0, 31)[0] is second[0]
-
-    def test_seed_and_trials_are_part_of_the_key(self):
-        x = np.random.default_rng(31).standard_normal((3, 3, 3))
-        stack, _ = subdiff._specials(x, 0, 31)
-        other_seed, _ = subdiff._specials(x, 1, 31)
-        fewer, _ = subdiff._specials(x, 1, 30)
-        assert other_seed is not stack and fewer is not other_seed
-        assert fewer.shape[0] == 30
-        # the scaled copies do not depend on the seed; the rotations do
-        assert np.array_equal(other_seed[:7], stack[:7])
-        assert not np.array_equal(other_seed[7:], stack[7:])
-        assert np.array_equal(fewer, other_seed[:30])
 
     def test_threads_alternating_points_get_their_own_slacks(self):
         # each thread repeats its own point, the two meeting at a barrier
@@ -741,7 +732,7 @@ class TestSpecialsMemo:
         points = [rng.standard_normal((4, 4, 4)), rng.standard_normal((2, 3, 2))]
         expected = []
         for x in points:
-            subdiff._last_specials = None
+            subdiff._last_point_free = None
             expected.append(subgradient_inequality_test(x, x, params, trials=31))
         meet = threading.Barrier(2)
         wrong = [0, 0]
@@ -769,30 +760,6 @@ class TestSpecialsMemo:
         assert done == [20, 20]
         assert wrong == [0, 0]
 
-    def test_a_call_inside_a_build_leaves_no_torn_entry(self, monkeypatch):
-        # a thread switch in the middle of a build, made deterministic: while
-        # x's specials are decomposed, a call at y builds and keeps its own
-        params = SchattenParams(3, 2, 1)
-        rng = np.random.default_rng(35)
-        x, y = rng.standard_normal((4, 4, 4)), rng.standard_normal((2, 3, 2))
-        expected = {}
-        for name, point in (("x", x), ("y", y)):
-            subdiff._last_specials = None
-            expected[name] = subgradient_inequality_test(point, point, params, trials=31)
-        subdiff._last_specials = None
-        original = subdiff._stacked_spectra
-
-        def interrupted(stack):
-            if stack.shape[1:] == x.shape:
-                assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
-            return original(stack)
-
-        monkeypatch.setattr(subdiff, "_stacked_spectra", interrupted)
-        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
-        monkeypatch.setattr(subdiff, "_stacked_spectra", original)
-        assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
-        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
-
     def test_a_repeat_at_another_grid_point_draws_no_odeco_special(self):
         x = np.random.default_rng(33).standard_normal((3, 3, 3))
         grid = _param_grid(x.ndim)
@@ -803,34 +770,9 @@ class TestSpecialsMemo:
                 subgradient_inequality_test(x, x, params, trials=40)
             assert spy.call_count == 8
 
-    def test_a_stack_over_the_cap_is_not_kept(self, monkeypatch):
-        # the 31 specials of a cubic point, which the cap bounds
-        x = np.random.default_rng(34).standard_normal((3, 3, 3))
-        params = SchattenParams(2, 1, 1)
-        slack = subgradient_inequality_test(x, x, params, trials=31)
-        _, (stack, spectra) = subdiff._last_specials
-        nbytes = stack.nbytes + spectra.nbytes
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes - 1)
-        subdiff._last_specials = None
-        # each call builds the point's copies again; the point-free entry,
-        # smaller than the cap, is kept and reused
-        with mock.patch.object(
-            subdiff, "_rotated_copies", wraps=subdiff._rotated_copies
-        ) as rotations, mock.patch.object(
-            subdiff, "random_odeco", wraps=random_odeco
-        ) as draws:
-            assert subgradient_inequality_test(x, x, params, trials=31) == slack
-            assert subgradient_inequality_test(x, x, params, trials=31) == slack
-        assert rotations.call_count == 2 and draws.call_count == 0
-        assert subdiff._last_specials is None
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes)
-        assert subgradient_inequality_test(x, x, params, trials=31) == slack
-        assert subdiff._last_specials is not None
-
-
     def test_points_of_one_shape_and_seed_share_the_point_free_specials(self):
         # two points of one shape and seed: 8 odeco specials drawn, not 16,
-        # and every slack equal to a call with both entries empty
+        # and every slack equal to a call with the entry empty
         rng = np.random.default_rng(36)
         points = [to_dense(random_odeco((3, 3, 3), 2, 37)), rng.standard_normal((3, 3, 3))]
         grid = _param_grid(3)
@@ -848,14 +790,44 @@ class TestSpecialsMemo:
 
     @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5)])
     def test_the_joined_spectra_equal_those_of_the_joined_stack(self, dims):
-        x = np.random.default_rng(38).standard_normal(dims)
-        subdiff._specials(np.zeros(dims), 5, 10)  # point-free entry warm
-        stack, spectra = subdiff._specials(x, 5, 31)
-        assert spectra.tobytes() == _stacked_spectra(np.array(stack)).tobytes()
-        frames, free, free_spectra = subdiff._last_point_free[1]
-        assert free.shape[0] == stack.shape[0] - 15
-        for a in (*frames, free, free_spectra):
-            assert not a.flags.writeable
+        # 8 symmetric specials for a cubic shape, then 8 odeco ones
+        frames, free, free_spectra = subdiff._point_free_specials(dims, 5)
+        assert free.shape == (16 if len(set(dims)) == 1 else 8,) + dims
+        assert free_spectra.tobytes() == _stacked_spectra(np.array(free)).tobytes()
+        assert [f.shape for f in frames] == [(8, n, n) for n in dims]
+
+    def test_a_new_point_decomposes_nothing(self):
+        # with the point-free entry and x's spectra warm, x's 15 copies take
+        # their norms from N(x): no singular_values call at all
+        x = np.random.default_rng(42).standard_normal((3, 4, 5))
+        params = SchattenParams(3, 2, 1)
+        subdiff._point_free_specials(x.shape, 0)
+        schatten_norm(x, params)
+        with mock.patch.object(
+            spectral, "singular_values", wraps=spectral.singular_values
+        ) as spy:
+            slack = subgradient_inequality_test(x, x, params, trials=31)
+        assert spy.call_count == 0
+        assert slack == _cold_slack(x, x, params, trials=31)
+
+    def test_a_new_point_keeps_no_copy(self):
+        # the rotated copies are dropped after the call; the spectra entries
+        # held two other 20^3 tensors, so x's replaces one of its own size,
+        # and the bound allows one copy of x
+        rng = np.random.default_rng(43)
+        x, g = rng.standard_normal((2, 20, 20, 20))
+        params = SchattenParams(2, 2, 1)
+        subdiff._point_free_specials(x.shape, 0)
+        tracemalloc.start()  # before the entries that x's evicts are made
+        try:
+            for other in rng.standard_normal((2, 20, 20, 20)):
+                schatten_norm(other, params)
+            before = tracemalloc.get_traced_memory()[0]
+            subgradient_inequality_test(x, g, params, trials=31)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= x.nbytes
 
     def test_a_point_free_set_over_the_cap_is_not_kept(self, monkeypatch):
         x = np.random.default_rng(39).standard_normal((3, 3, 3))
@@ -864,7 +836,6 @@ class TestSpecialsMemo:
         frames, free, free_spectra = subdiff._last_point_free[1]
         nbytes = sum(a.nbytes for a in (*frames, free, free_spectra))
         monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes - 1)
-        subdiff._last_specials = None
         subdiff._last_point_free = None
         with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
             assert subgradient_inequality_test(x, x, params, trials=31) == slack
@@ -887,7 +858,6 @@ class TestSpecialsMemo:
             "x": _cold_slack(x, x, params, trials=31),
             "y": _cold_slack(y, y, params, trials=31),
         }
-        subdiff._last_specials = None
         subdiff._last_point_free = None
         original = subdiff._symmetrize_stack
 
