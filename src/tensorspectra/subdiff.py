@@ -5,9 +5,9 @@ the per-mode singular-value vectors of X. At orthogonally decomposable
 points the canonical subgradient has a closed form: it lives on the same
 per-mode frames as X, with weights lam * D^(1/q) * v* where v* maximizes
 the pairing with the weight vector over the unit sphere of the conjugate
-exponent. Membership of arbitrary candidates is certified through the
-per-mode trace-inequality gaps, the pairing identity <X, Y> = N(X) and the
-mixed conjugate-norm bound on the candidate's spectra.
+exponent. Membership of arbitrary candidates is decided by the pairing
+identity <X, Y> = N(X) and the mixed conjugate-norm bound on the
+candidate's spectra; the per-mode trace-inequality gaps are reported.
 """
 
 from __future__ import annotations
@@ -289,11 +289,13 @@ def _spectral_dual_ratio(x: np.ndarray, params: SchattenParams) -> float:
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Outcome of the three-part subgradient membership test.
+    """Outcome of the subgradient membership test.
 
-    ``notes`` records each condition: per-mode trace-inequality equality,
-    the pairing identity and the dual-norm bound, plus whether a rejection
-    could be conservative: only a failed pairing makes a rejection final.
+    ``accepted`` is ``notes["pairing"] and notes["dual_bound"]``;
+    ``vn_gaps`` and ``notes["vn_equality"]`` report the trace inequalities
+    and decide nothing. ``notes["conservative_rejection_possible"]`` means
+    the pairing holds and the dual bound fails: only a failed pairing makes
+    a rejection final.
     """
 
     vn_gaps: np.ndarray
@@ -308,18 +310,21 @@ def check_membership(
 ) -> MembershipCertificate:
     """Certify ``y`` as a subgradient of the norm at ``x``.
 
-    Conditions: (i) equality in every per-mode trace inequality, (ii)
-    <x, y> = N(x) up to tol * ||x|| ||y||, (iii) mixed conjugate norm of y's
-    spectra at most lam * D * (1 + tol). Acceptance requires all three. Only
-    (ii) is necessary, and (ii) with (iii) is sufficient, since (iii) bounds
-    y's dual norm from above: an acceptance is a proof, and a rejection with
-    (ii) holding is not final. The tolerance of (ii) has no floor and is
-    compared on frexp parts, so it neither overflows nor underflows: scaling
-    x changes no verdict, and y = 0 fails at every x != 0. N(x), the trace
-    inequalities and y's dual ratio are computed in that order, so a cold
-    call decomposes x once and y once. The spectra memo keeps two tensors,
-    so x's spectra outlive one candidate: a sweep of one point's
-    candidates decomposes the point once.
+    Two conditions decide: the pairing <x, y> = N(x) up to
+    tol * ||x|| ||y||, and the dual bound, the mixed conjugate norm of y's
+    spectra at most lam * D * (1 + tol). ``accepted`` is their conjunction.
+    Only the pairing is necessary, and both together are sufficient, since
+    the spectral ratio bounds y's dual norm from above: an acceptance is a
+    proof, and a rejection whose pairing holds is not final. The per-mode
+    trace-inequality gaps are reported and decide nothing: with both
+    conditions, Hölder bounds each by D * tol * (2 + tol) * ||x|| ||y||.
+    The pairing tolerance has no floor and is compared on frexp parts, so
+    it neither overflows nor underflows: scaling x changes no verdict, and
+    y = 0 fails at every x != 0. ``tol`` must be finite and nonnegative.
+    N(x), the trace inequalities and y's dual ratio are computed in that
+    order, so a cold call decomposes x once and y once. The spectra memo
+    keeps two tensors, so x's spectra outlive one candidate: a sweep of one
+    point's candidates decomposes the point once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -329,21 +334,20 @@ def check_membership(
     norm_x = schatten_norm(x, params)
     report = vn_report(x, y, tol)
     dual_value = _spectral_dual_ratio(y, params)
-    residual = abs(inner(x, y) - norm_x)
+    residual = abs(report.inner - norm_x)
     (mx, ex), (my, ey) = math.frexp(frobenius(x)), math.frexp(frobenius(y))
-    vn_ok = report.equality
     # residual <= tol ||x|| ||y|| on frexp parts; a scaled overflow fails
     with np.errstate(over="ignore", under="ignore"):
         pairing_ok = bool(np.ldexp(residual, -(ex + ey)) <= tol * mx * my)
     dual_ok = dual_value <= 1.0 + tol
-    accepted = vn_ok and pairing_ok and dual_ok
+    accepted = pairing_ok and dual_ok
     return MembershipCertificate(
         vn_gaps=report.per_mode_gap,
         pairing_residual=residual,
         dual_norm_value=dual_value,
         accepted=accepted,
         notes={
-            "vn_equality": vn_ok,
+            "vn_equality": report.equality,
             "pairing": pairing_ok,
             "dual_bound": dual_ok,
             "conservative_rejection_possible": not accepted and pairing_ok,

@@ -2,10 +2,10 @@
 
 For tensors X, Y of common shape the inner product is bounded by the pairing
 of sorted per-mode singular values, <X, Y> <= <sigma_d(X), sigma_d(Y)> for
-every mode d. Equality holds simultaneously in all modes exactly when both
-tensors are carried by one shared orthogonal frame per mode with aligned,
-blockwise-proportional cores; this module computes the per-mode gaps and
-verifies that block structure for candidate frames.
+every mode d. Equality in all modes carries both tensors on one shared
+orthogonal frame per mode with aligned, blockwise-proportional cores; this
+module computes the per-mode gaps and checks that block structure for
+candidate frames.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ class EqualityStructure:
     """Equality structure of a pair in candidate shared frames.
 
     ``partition`` is the finest common block partition of the two rotated
-    cores, ``constants`` the per-block proportionality coefficients of
-    :func:`verify_equality_structure` and ``verified`` its verdict.
+    cores and ``constants`` the per-block proportionality coefficients of
+    :func:`verify_equality_structure`. ``verified`` means proportional blocks
+    and the spectral equality of :func:`vn_report`; the blocks alone do not
+    imply the equality.
     """
 
     verified: bool
@@ -95,8 +97,11 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     exactly for powers of two), and a zero operand gives equality exactly.
     The inner product, bounds and gaps are reported at the scale of (x, y),
     as those of (x', y') times 2^(a+b), exactly: a value changes only when
-    it leaves the range of binary64 (then it is infinite).
+    it leaves the range of binary64 (then it is infinite). ``tol`` must be
+    finite and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol: tolerance must be a finite real >= 0, got {tol!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -118,6 +123,19 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
         )
 
 
+def _finite_cores(cx, cy) -> tuple[np.ndarray, np.ndarray]:
+    # a non-finite entry makes its core's threshold NaN or inf, below which
+    # no entry lies, so the core would read as zero
+    cx = np.asarray(cx, dtype=float)
+    cy = np.asarray(cy, dtype=float)
+    if cx.shape != cy.shape:
+        raise ValueError(f"shape: operands differ, {cx.shape} vs {cy.shape}")
+    for name, core in (("cx", cx), ("cy", cy)):
+        if not np.isfinite(core).all():
+            raise ValueError(f"{name}: entries must be finite")
+    return cx, cy
+
+
 def find_block_partition(cx, cy, tol: float = 1e-10) -> BlockPartition:
     """Finest common block partition of two aligned core tensors.
 
@@ -125,12 +143,9 @@ def find_block_partition(cx, cy, tol: float = 1e-10) -> BlockPartition:
     links its mode-1 index to each of its other indices; connected
     components become blocks, ordered by their smallest mode-1 index.
     Indices touching no above-threshold entry are gathered into one shared
-    residual block (zero block for both inputs).
+    residual block (zero block for both inputs). Both inputs must be finite.
     """
-    cx = np.asarray(cx, dtype=float)
-    cy = np.asarray(cy, dtype=float)
-    if cx.shape != cy.shape:
-        raise ValueError(f"shape: operands differ, {cx.shape} vs {cy.shape}")
+    cx, cy = _finite_cores(cx, cy)
     dims = cx.shape
 
     mask = (np.abs(cx) > tol * frobenius(cx)) | (np.abs(cy) > tol * frobenius(cy))
@@ -204,12 +219,9 @@ def verify_equality_structure(
     is tested as a copy scaled by a power of two to [1/2, 1). Tolerances are
     relative, with no absolute floor, so the verdict does not depend on the
     scale of either core and no square overflows; each constant is scaled
-    back exactly.
+    back exactly. Both cores must be finite.
     """
-    cx = np.asarray(cx, dtype=float)
-    cy = np.asarray(cy, dtype=float)
-    if cx.shape != cy.shape:
-        raise ValueError(f"shape: operands differ, {cx.shape} vs {cy.shape}")
+    cx, cy = _finite_cores(cx, cy)
     _check_partition(partition, cx.shape)
 
     (cx, ex), (cy, ey) = _binary_scaled(cx), _binary_scaled(cy)
@@ -245,8 +257,9 @@ def verify_equality_structure(
 
 
 def _equality_structure(x, y, shared_factors, tol: float, report) -> EqualityStructure:
-    # one rotation, partition and proportionality pass, cross-checked against
-    # the caller's vn_report(x, y, tol); see check_equality_via_structure
+    # one rotation, partition and proportionality pass; verified also needs
+    # the equality of the caller's vn_report(x, y, tol), which the blocks
+    # alone do not imply
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     frames = [np.asarray(w, dtype=float) for w in shared_factors]
@@ -263,12 +276,7 @@ def _equality_structure(x, y, shared_factors, tol: float, report) -> EqualityStr
     cy = multi_mode_mul(y, transposed)
     partition = find_block_partition(cx, cy, tol)
     ok, constants = verify_equality_structure(cx, cy, partition, tol)
-    if ok and not report.equality:
-        raise ArithmeticError(
-            "structure verified but per-mode gaps exceed tolerance; "
-            "inputs are inconsistent with the claimed frames"
-        )
-    return EqualityStructure(verified=ok, partition=partition, constants=constants)
+    return EqualityStructure(ok and report.equality, partition, constants)
 
 
 def check_equality_via_structure(x, y, shared_factors, tol: float = 1e-10) -> bool:
@@ -276,7 +284,7 @@ def check_equality_via_structure(x, y, shared_factors, tol: float = 1e-10) -> bo
 
     Both tensors are rotated into the candidate frames, the finest common
     block partition is extracted and the proportionality conditions are
-    verified. A positive answer is cross-checked against the per-mode gap
-    report; an inconsistency between the two raises.
+    verified. The answer is true when the blocks are proportional and
+    :func:`vn_report` shows the equality; it never raises on a valid pair.
     """
     return _equality_structure(x, y, shared_factors, tol, vn_report(x, y, tol)).verified

@@ -466,3 +466,76 @@ def test_one_parser_serves_a_sequence_of_commands(sequence, tmp_path, monkeypatc
         assert [[s["name"] for s in found] for found in suites] == [["adjointness"], ["cli_roundtrip"]]
     if sequence[1][0] == "norm":
         assert [code for code, _ in shared] == [0, 2, 0]
+
+
+def _tol_inputs(tmp_path):
+    # an odeco 3^3 point, its canonical subgradient at (3, 2, 1), twice that
+    # subgradient and a Gaussian tensor
+    paths = {name: tmp_path / f"{name}.json" for name in ("x", "g", "g2", "gauss")}
+    norm = ["--p", "3", "--q", "2", "--lambda", "1"]
+    gen = ["gen", "--shape", "3x3x3"]
+    assert invoke([*gen, "--kind", "odeco", "--seed", "1", "--out", str(paths["x"])])[0] == 0
+    assert invoke([*gen, "--kind", "gaussian", "--seed", "5", "--out", str(paths["gauss"])])[0] == 0
+    assert invoke(["subgrad", *norm, "--in", str(paths["x"]), "--out", str(paths["g"])])[0] == 0
+    dump_tensor(2.0 * load_dense(paths["g"]), paths["g2"])
+    return norm, {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "-1e-8"])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_an_error(tmp_path, tol):
+    # --tol inf accepted 2g and the Gaussian tensor and made every pair an
+    # equality; --tol nan rejected the canonical subgradient
+    norm, paths = _tol_inputs(tmp_path)
+    commands = [["check-subgrad", *norm, "--y", paths[y]] for y in ("g", "g2", "gauss")]
+    commands += [["vn-check", "--y", paths[y]] for y in ("x", "gauss")]
+    for command in commands:
+        code, payload = invoke([*command, "--x", paths["x"], f"--tol={tol}"])
+        assert code == 1, command
+        assert payload["error"].startswith("tol: tolerance must be a finite real >= 0")
+
+
+def test_proportional_blocks_without_equality_print_unverified(tmp_path):
+    # identity frames and diagonal cores (2, 1, 0.5) and (1, 2, 0.5): the
+    # blocks are proportional, every mode has a gap of 1, and the command
+    # used to exit 1 with an "inconsistent" error
+    from tensorspectra.serialize import dumps_tensor
+
+    x, y = np.zeros((3, 3, 3)), np.zeros((3, 3, 3))
+    for i, (a, b) in enumerate([(2.0, 1.0), (1.0, 2.0), (0.5, 0.5)]):
+        x[i, i, i], y[i, i, i] = a, b
+    x_path, y_path, frames_path = (tmp_path / n for n in ("x.json", "y.json", "f.json"))
+    dump_tensor(x, x_path)
+    dump_tensor(y, y_path)
+    frames_path.write_text("[" + ",".join([dumps_tensor(np.eye(3))] * 3) + "]", encoding="utf-8")
+    code, payload = invoke(
+        ["vn-check", "--x", str(x_path), "--y", str(y_path), "--frames", str(frames_path)]
+    )
+    assert code == 0
+    assert payload["equality"] is False
+    assert payload["per_mode_gap"] == pytest.approx([1.0, 1.0, 1.0])
+    structure = payload["structure"]
+    assert structure["verified"] is structure["proportional"] is False
+    assert structure["constants"] == pytest.approx([0.5, 2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--kind", "gaussian", "--shape", "3xa"], "shape: could not parse '3xa'"),
+        (["gen", "--kind", "gaussian", "--shape", "3"], "shape: need at least 2 positive mode sizes"),
+        (
+            ["gen", "--kind", "symmetric-odeco", "--shape", "3x4"],
+            "shape: symmetric kinds need a cubic shape",
+        ),
+        (["norm", "--lambda", "abc"], "lambda: expected a number or 'auto', got 'abc'"),
+    ],
+    ids=["unparsable shape", "one mode", "non-cubic symmetric odeco", "lambda"],
+)
+def test_each_rejected_flag_prints_its_error(tmp_path, argv, message):
+    x_path = tmp_path / "x.json"
+    dump_tensor(np.ones((2, 2)), x_path)
+    if argv[0] == "norm":
+        argv = [*argv, "--in", str(x_path)]
+    code, payload = invoke(argv)
+    assert code == 1
+    assert payload == {"error": message}

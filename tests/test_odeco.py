@@ -170,3 +170,19 @@ def test_norm_identity_q_one_factor():
     assert value == pytest.approx(
         2.0 * float(np.linalg.norm(rep.alphas)), rel=1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "alphas, factors, message",
+    [
+        ([], [np.eye(2)] * 3, "alphas: expected a nonempty vector of weights"),
+        ([1.0, math.nan], [np.eye(2)] * 3, "alphas: weights must be finite"),
+        ([1.0, math.inf], [np.eye(2)] * 3, "alphas: weights must be finite"),
+        ([1.0], [np.ones((2, 1)) / math.sqrt(2.0)], "factors: need at least 2 modes"),
+        ([1.0, 0.5], [np.eye(2), np.eye(2)[:, :1]], "factors: mode 2 must be a matrix with 2 columns"),
+    ],
+    ids=["no weights", "nan weight", "inf weight", "one factor", "column count"],
+)
+def test_each_rejected_representation_names_its_field(alphas, factors, message):
+    with pytest.raises(ValueError, match=message):
+        make_odeco(alphas, factors)

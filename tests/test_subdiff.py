@@ -1304,3 +1304,104 @@ def test_tied_weights_pin_a_missed_certificate(params):
     assert estimate.inside_dual_ball is False
     assert np.array_equal(estimate.maximizer, x)
     assert estimate.best_value == inner(x, x) - schatten_norm(x, params)
+
+
+def _near_boundary_candidate(seed, params, scale):
+    # g + eps w at an odeco 3^3 point: g canonical, w Gaussian and orthogonal
+    # to x, so <x, y> = N(x) and the dual ratio moves with eps
+    rep = random_odeco((3, 3, 3), 3, 5)
+    x = to_dense(rep)
+    g = schatten_subgradient(rep, params)
+    w = np.random.default_rng(seed).standard_normal((3, 3, 3))
+    w -= inner(w, x) / inner(x, x) * x
+    return x, g + scale * frobenius(g) / frobenius(w) * w
+
+
+class TestMembershipVerdict:
+    """``accepted`` is the pairing and the dual bound; the gaps decide nothing."""
+
+    def test_a_pair_meeting_both_conditions_is_accepted(self):
+        # dual ratio 1 + 9.6e-9 and a largest gap of 1.06e-8 ||x|| ||y||,
+        # above tol 1e-8: the gap used to reject this pair
+        params = SchattenParams(1.5, 3, 1)
+        x, y = _near_boundary_candidate(5, params, 1.4e-4)
+        certificate = check_membership(x, y, params)
+        assert certificate.notes["pairing"] and certificate.notes["dual_bound"]
+        assert not certificate.notes["vn_equality"]
+        assert certificate.accepted
+        assert not certificate.notes["conservative_rejection_possible"]
+
+    def test_the_pairing_residual_is_that_of_the_report(self):
+        rep = random_odeco((3, 4, 5), 3, 2)
+        params = SchattenParams(3, 2, 1)
+        x, y = to_dense(rep), 2.0 * schatten_subgradient(rep, params)
+        certificate = check_membership(x, y, params)
+        norm_x = schatten_norm(x, params)
+        assert certificate.pairing_residual == abs(vn_report(x, y).inner - norm_x)
+        assert not certificate.notes["pairing"] and not certificate.accepted
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-8])
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_raises(self, tol):
+        # inf accepted 2g and a Gaussian candidate; nan rejected the
+        # canonical subgradient
+        rep = random_odeco((3, 3, 3), 3, 1)
+        params = SchattenParams(3, 2, 1)
+        x, g = to_dense(rep), schatten_subgradient(rep, params)
+        with pytest.raises(ValueError, match="tol: tolerance must be a finite real >= 0"):
+            check_membership(x, g, params, tol=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    params=st.sampled_from(PARAM_GRID_3 + [SchattenParams(1.5, 3, 1)]),
+    exponent=st.floats(-9.0, -2.0),
+)
+def test_near_boundary_verdict_is_pairing_and_dual_bound(seed, params, exponent):
+    # with both conditions, Hölder bounds every per-mode gap by
+    # D tol (2 + tol) ||x|| ||y||
+    x, y = _near_boundary_candidate(seed, params, 10.0**exponent)
+    tol = 1e-8
+    certificate = check_membership(x, y, params, tol)
+    notes = certificate.notes
+    assert certificate.accepted is (notes["pairing"] and notes["dual_bound"])
+    if certificate.accepted:
+        scale = frobenius(x) * frobenius(y)
+        assert np.max(certificate.vn_gaps) <= 3 * x.ndim * tol * scale
+
+
+_X3 = np.random.default_rng(3).standard_normal((2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: subgradient_inequality_test(
+                _X3, np.ones((2, 2, 3)), SchattenParams(2, 2, 1)
+            ),
+            r"shape: operands differ, \(2, 2, 2\) vs \(2, 2, 3\)",
+        ),
+        (
+            lambda: subgradient_inequality_test(_X3, _X3, SchattenParams(2, 2, 1), trials=0),
+            "trials: need at least one sample",
+        ),
+        (
+            lambda: estimate_tensor_conjugate(_X3, SchattenParams(2, 2, 1), budget=0),
+            "budget: need at least one evaluation",
+        ),
+        (lambda: dual_vector_maximizer(np.ones((2, 2)), 2.0), "s: expected a nonempty vector"),
+        (
+            lambda: dual_vector_maximizer([1.0, 2.0], 0.5),
+            "p: exponent must be a finite real >= 1",
+        ),
+        (
+            lambda: schatten_subgradient(_X3, SchattenParams(2, 2, 1)),
+            "rep: expected an odeco representation",
+        ),
+    ],
+    ids=["shapes", "trials", "budget", "2-D s", "p below 1", "not odeco"],
+)
+def test_each_rejected_argument_names_its_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -372,3 +372,18 @@ def test_symmetry_verdict_does_not_depend_on_scale(seed, ndim, n, symmetric, exp
     verdict = is_symmetric(x)
     assert verdict == symmetric
     assert is_symmetric(10.0**exponent * x) == verdict
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tensorize(np.ones((3, 1)), 1, (3,)), "shape: a tensor needs at least 2 modes"),
+        (lambda: mode_mul(np.ones((2, 2)), 1, np.ones(2)), "matrix: expected a 2-D operand"),
+        (lambda: outer([[1.0], []]), "vectors: operand 2 must be a nonempty vector"),
+        (lambda: as_tensor([], shape=(0, 2)), "shape: mode sizes must be positive"),
+    ],
+    ids=["one-mode tensorize", "1-D matrix", "empty vector", "zero mode size"],
+)
+def test_each_rejected_argument_names_its_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

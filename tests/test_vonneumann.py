@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,8 +261,9 @@ class TestEqualityViaStructure:
         frames = [complete_orthonormal(f) for f in rep_x.factors]
         report = vn_report(x, y, 1e-8)
         assert _equality_structure(x, y, frames, 1e-8, report).verified
-        with pytest.raises(ArithmeticError, match="inconsistent"):
-            _equality_structure(x, y, frames, 1e-8, replace(report, equality=False))
+        # the report decides the equality: proportional blocks do not overrule it
+        doctored = replace(report, equality=False)
+        assert _equality_structure(x, y, frames, 1e-8, doctored).verified is False
 
 
 class TestScaleFreeVerdicts:
@@ -367,3 +370,84 @@ def test_equality_verdict_does_not_depend_on_scale(s, t, shared):
     x, y = 10.0**s * x, 10.0**t * y
     assert vn_report(x, y, 1e-8).equality is shared
     assert check_equality_via_structure(x, y, case.FRAMES, 1e-8) is shared
+
+
+class TestStructureVerdict:
+    """``verified`` is proportional blocks and the reported equality."""
+
+    # identity frames, proportional blocks with constants (0.5, 2, 1), but a
+    # gap of 1 in every mode: the large entry of x meets the small one of y
+    X = diag_tensor((3, 3, 3), [2.0, 1.0, 0.5])
+    Y = diag_tensor((3, 3, 3), [1.0, 2.0, 0.5])
+
+    def test_proportional_blocks_without_equality_are_not_verified(self):
+        from tensorspectra.vonneumann import _equality_structure
+
+        frames = [np.eye(3)] * 3
+        report = vn_report(self.X, self.Y)
+        assert not report.equality
+        assert np.allclose(report.per_mode_gap, 1.0)
+        structure = _equality_structure(self.X, self.Y, frames, 1e-10, report)
+        assert structure.verified is False
+        assert structure.partition.n_blocks == 3
+        assert np.allclose(structure.constants, [0.5, 2.0, 1.0])
+        assert check_equality_via_structure(self.X, self.Y, frames) is False
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1.0])
+    def test_a_tolerance_that_is_not_finite_and_nonnegative_raises(self, tol):
+        # inf declared equality for any pair
+        x = to_dense(random_odeco((3, 3, 3), 3, 1))
+        y = np.random.default_rng(5).standard_normal((3, 3, 3))
+        match = "tol: tolerance must be a finite real >= 0"
+        with pytest.raises(ValueError, match=match):
+            vn_report(x, y, tol)
+        with pytest.raises(ValueError, match=match):
+            check_equality_via_structure(x, y, [np.eye(3)] * 3, tol)
+
+    @pytest.mark.parametrize("name", ["cx", "cy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_core_is_refused(self, name, bad):
+        # a NaN threshold read every entry of cx as zero, and the diagonal of
+        # cy alone made two blocks
+        core = np.ones((2, 2, 2))
+        core[0, 1, 1] = bad
+        other = diag_tensor((2, 2, 2), [1.0, 1.0])
+        cx, cy = (core, other) if name == "cx" else (other, core)
+        with pytest.raises(ValueError, match=f"{name}: entries must be finite"):
+            find_block_partition(cx, cy)
+        partition = BlockPartition(blocks=(((1, 2), (1, 2), (1, 2)),))
+        with pytest.raises(ValueError, match=f"{name}: entries must be finite"):
+            verify_equality_structure(cx, cy, partition)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: find_block_partition(np.ones((2, 2)), np.ones((2, 3))),
+            r"shape: operands differ, \(2, 2\) vs \(2, 3\)",
+        ),
+        (
+            lambda: verify_equality_structure(
+                np.ones((2, 2)), np.ones((2, 2)), BlockPartition(blocks=())
+            ),
+            "partition: needs at least one block",
+        ),
+        (
+            lambda: verify_equality_structure(
+                np.ones((2, 2, 2)), np.ones((2, 2, 2)), BlockPartition(blocks=(((1, 2), (1, 2)),))
+            ),
+            "partition: blocks must list one index set per mode",
+        ),
+        (
+            lambda: check_equality_via_structure(
+                np.ones((2, 2, 2)), np.ones((2, 2, 2)), [np.eye(2)] * 2
+            ),
+            r"frames: expected one matrix per mode \(3\), got 2",
+        ),
+    ],
+    ids=["shapes", "empty partition", "mode count", "frame count"],
+)
+def test_each_rejected_argument_names_its_field(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
