@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _check_tol
+
 __all__ = [
     "SvdResult",
     "SvdConvergenceError",
@@ -104,7 +106,11 @@ def singular_values(mat) -> np.ndarray:
 
 
 def is_orthogonal(mat, tol: float = 1e-12) -> bool:
-    """True when the square matrix satisfies ||m @ m.T - I||_F <= tol."""
+    """True when the square matrix satisfies ||m @ m.T - I||_F <= tol.
+
+    ``tol`` must be finite and nonnegative.
+    """
+    _check_tol(tol)
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix: orthogonality is defined for square matrices")
@@ -138,8 +144,11 @@ def complete_orthonormal(u, tol: float = 1e-10) -> np.ndarray:
     """Extend n-by-r orthonormal columns ``u`` to a full n-by-n orthogonal matrix.
 
     The given columns are preserved exactly; the complement comes from a full
-    Householder QR of ``u``.
+    Householder QR of ``u``. ``tol`` bounds the Frobenius residual of the
+    columns' Gram matrix against the identity; it must be finite and
+    nonnegative.
     """
+    _check_tol(tol)
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] < u.shape[1]:
         raise ValueError("matrix: expected n-by-r with r <= n")

@@ -14,22 +14,21 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _random_orthogonals
-from .odeco import OdecoRep, random_odeco, to_dense
+from .odeco import OdecoRep, to_dense
 from .spectral import (
     SchattenParams,
     _mixed_norm,
     _schatten_norms,
     _spectra,
-    _stacked_spectra,
     hosvd,
     schatten_norm,
 )
-from .tensor import _check_shape, _symmetrize_stack, frobenius, inner, multi_mode_mul
+from .tensor import _check_shape, _check_tol, frobenius, inner, multi_mode_mul
 from .vonneumann import _binary_scaled, vn_report
 
 __all__ = [
@@ -237,8 +236,10 @@ def tuple_membership(t, g, params: SchattenParams, tol: float = 1e-9) -> bool:
     <g, t> equals the norm value and the mixed conjugate norm of g is at
     most lam. The pairing is compared to within tol * sum |g| * t, the size
     of its terms, with no absolute floor, so scaling t changes no verdict;
-    at t = 0 the dual bound alone decides.
+    at t = 0 the dual bound alone decides. ``tol`` must be finite and
+    nonnegative.
     """
+    _check_tol(tol)
     t = _tuple_array(t, "t")
     g = _tuple_array(g, "g")
     if g.shape != t.shape:
@@ -355,127 +356,68 @@ def check_membership(
     )
 
 
-# Bytes kept by the one specials entry of subgradient_inequality_test: the
-# point-free specials of the last (shape, seed), up to 16 tensors, their
-# spectra and 8 frames per mode. A larger set is built on every call and
-# never stored.
-_POOL_CACHE_BYTES = 32 << 20
-
-
-def _pairings(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # <stack[i], v> for every i as a row-wise sum rather than a BLAS product,
-    # so each pairing is rounded the same way whatever the stack's length or
-    # the BLAS thread count
-    return np.einsum("ij,j->i", stack.reshape(stack.shape[0], -1), v.ravel())
-
-
 _SPECIAL_SCALES = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
 
 
-def _rotated_copies(x: np.ndarray, frames) -> np.ndarray:
-    # the stack whose k-th tensor is multi_mode_mul(x, [f[k] for f in frames])
-    # bit for bit: each mode is one matmul of the (k, n, n) frame stack with
-    # the mode axis moved forward, the same product that tensordot forms
-    out = np.broadcast_to(x, (len(frames[0]),) + x.shape)
-    for axis, f in enumerate(frames, start=1):
-        moved = np.moveaxis(out, axis, 1)
-        product = f @ moved.reshape(moved.shape[:2] + (-1,))
-        out = np.moveaxis(product.reshape(moved.shape), 1, axis)
-    return out
+def _in_range_copy(t: np.ndarray, params: SchattenParams):
+    # (y, <t, y>, N(y)) at y = t, or at t's binary-scaled copy, max|y| in
+    # [1/2, 1), when <t, t> leaves the normal range or N(t) overflows; a
+    # positively homogeneous objective keeps its sign on the copy
+    with np.errstate(over="ignore"):
+        tt, norm = inner(t, t), schatten_norm(t, params)
+    if np.finfo(float).tiny <= tt < math.inf and norm < math.inf:
+        return t, tt, norm
+    y = _binary_scaled(t)[0]
+    return y, inner(t, y), schatten_norm(y, params)
 
 
-# ((shape, seed), (frames, stack, spectra)) of the last point-free specials
-# kept by _point_free_specials; replaced whole by one assignment, so a reader
-# never sees a torn pair
-_last_point_free: tuple | None = None
-
-
-def _point_free_specials(shape: tuple[int, ...], seed: int):
-    """The specials that depend only on (shape, seed), all read-only.
-
-    From one Generator seeded by ``[seed, 104729]``, in this order: the 8
-    rotation frames of each mode, drawn as one batched QR per mode, the 8
-    symmetrized Gaussian tensors when the shape is cubic and the 8 odeco
-    tensors. Returns the frames, the stack of symmetric and odeco specials
-    and that stack's spectra. The last set built is kept when it fits
-    ``_POOL_CACHE_BYTES``, so the points of one shape and seed draw and
-    decompose these specials once.
-    """
-    global _last_point_free
-    key = (shape, seed)
-    last = _last_point_free
-    if last is not None and last[0] == key:
-        return last[1]
-    _log.debug("specials: building the point-free part at shape %s", shape)
-    rng = np.random.default_rng([seed, 104729])
-    seeds = [[int(rng.integers(2**63 - 1)) for _ in shape] for _ in range(8)]
-    frames = tuple(_random_orthogonals(n, mode) for n, mode in zip(shape, zip(*seeds)))
-    specials = []
-    if len(set(shape)) == 1:
-        specials.append(_symmetrize_stack(rng.standard_normal((8,) + shape)))
-    specials.append(
-        np.stack(
-            [
-                to_dense(random_odeco(shape, min(shape), int(rng.integers(2**63 - 1))))
-                for _ in range(8)
-            ]
-        )
-    )
-    stack = np.concatenate(specials)
-    spectra = _stacked_spectra(stack)
-    arrays = (*frames, stack, spectra)
-    for a in arrays:
-        a.flags.writeable = False
-    if sum(a.nbytes for a in arrays) <= _POOL_CACHE_BYTES:
-        _last_point_free = (key, (frames, stack, spectra))
-    return frames, stack, spectra
+def _check_count(value, name: str, unit: str) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name}: need at least one {unit}, as an integer; got {value!r}")
 
 
 def subgradient_inequality_test(
     x, g, params: SchattenParams, trials: int = 10_000, seed: int = 0
 ) -> float:
-    """Minimum of N(y) - N(x) - <g, y - x> over a seeded family of specials.
+    """Minimum of N(y) - N(x) - <g, y - x> over the rays through x and g.
 
-    The family is 7 scaled copies of x (including 0), 8 copies rotated by
-    random orthogonal frames, 8 symmetric specials when x is cubic and 8
-    odeco specials: 31 tensors for a cubic x, 23 otherwise. ``trials`` caps
-    the family at its first ``trials`` members; a value past their count
-    changes nothing, and no other sample is drawn. The minimum is
-    nonnegative up to roundoff when g is a subgradient of the norm at x, and
-    a negative value proves that g is not one.
-
-    The norm is a function of the mode spectra alone, which scaling
-    multiplies by |c| and a rotation mode by mode leaves unchanged. So x's
-    copies take the closed forms N(cx) = |c| N(x) and N(Rx) = N(x), and only
-    their pairings with g need the rotated tensors, which are built on every
-    call and not kept. The frames and the symmetric and odeco specials
-    depend on (shape, seed) alone; they and those specials' spectra are
-    kept for the last (shape, seed) when they fit ``_POOL_CACHE_BYTES`` (32
-    MiB), so the points of one shape and seed draw and decompose them once.
-    N(x), the specials' norms under ``params`` and every pairing with ``g``
-    are computed on every call.
+    The 13 members are y = c x for c in 0, 1, -1, 1/2, -1/2, 2, -2, then
+    y = c g for the six nonzero c. N(c t) = |c| N(t), so each slack is a
+    closed form in N(x), N(g), <g, x> and <g, g>: the x ray tests the
+    pairing <g, x> = N(x), and the g ray falls below 0 when <g, g> > N(g),
+    where g is its own witness outside the dual unit ball. When <g, g>
+    leaves the normal range or N(g) overflows, the g ray passes through
+    g's binary-scaled copy, as the estimator's y = x does. ``trials``, an
+    integer >= 1, caps the family at its first ``trials`` members; ``seed``
+    is accepted and changes nothing, since nothing is drawn. The minimum is
+    nonnegative up to roundoff when g is a subgradient of the norm at x,
+    and a negative value proves that g is not one. Each call logs one DEBUG
+    record naming the member at the minimum.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     if x.shape != g.shape:
         raise ValueError(f"shape: operands differ, {x.shape} vs {g.shape}")
-    if trials < 1:
-        raise ValueError("trials: need at least one sample")
+    _check_count(trials, "trials", "sample")
     _check_shape(x.shape)
     if not np.isfinite(g).all():
         raise ValueError("g: entries must be finite")
-    frames, free, free_spectra = _point_free_specials(x.shape, seed)
 
     norm_x = schatten_norm(x, params)
     gx = inner(g, x)
+    _, gh, norm_h = _in_range_copy(g, params)
+    on_x, on_g = _SPECIAL_SCALES, _SPECIAL_SCALES[1:]
     slacks = np.concatenate(
         [
-            (np.abs(_SPECIAL_SCALES) - 1.0) * norm_x - (_SPECIAL_SCALES - 1.0) * gx,
-            gx - _pairings(_rotated_copies(x, frames), g),
-            _schatten_norms(free_spectra, params) - norm_x - (_pairings(free, g) - gx),
+            (np.abs(on_x) - 1.0) * norm_x - (on_x - 1.0) * gx,
+            np.abs(on_g) * norm_h - on_g * gh - norm_x + gx,
         ]
-    )
-    return float(np.min(slacks[:trials]))
+    )[:trials]
+    if _log.isEnabledFor(logging.DEBUG):
+        i = int(np.argmin(slacks))
+        member = (on_x[i], "x") if i < on_x.size else (on_g[i - on_x.size], "g")
+        _log.debug("subgradient test: minimum at y = %g %s", *member)
+    return float(np.min(slacks))
 
 
 def conjugate_value_tuple(g, params: SchattenParams) -> float:
@@ -539,11 +481,11 @@ def estimate_tensor_conjugate(
     bounds the dual norm from below, so <x, x> - N(x) > 0 proves x outside
     the ball. N(x) reuses the spectra the ratio decomposed. The objective is
     positively homogeneous, so any positive value proves the supremum
-    infinite. ``seed`` and ``target`` are accepted and change nothing.
+    infinite. ``budget`` must be an integer >= 1; ``seed`` and ``target``
+    are accepted and change nothing.
     """
     x = np.asarray(x, dtype=float)
-    if budget < 1:
-        raise ValueError("budget: need at least one evaluation")
+    _check_count(budget, "budget", "evaluation")
     dims = x.shape
 
     best = 0.0
@@ -576,15 +518,10 @@ def estimate_tensor_conjugate(
             core[diag_idx] = beta
             best_y = multi_mode_mul(core, frame.factors)
 
-    # y = x: <x, x> / N(x) bounds the dual norm from below. If <x, x> leaves
-    # the normal range or N(x) overflows, x is outside _binary_scaled's band,
-    # and this homogeneous objective is taken at its copy, max|y| in [1/2, 1)
+    # y = x, or its in-range copy: <x, x> / N(x) bounds the dual norm from below
     if best <= 0.0 and evals < budget:
-        with np.errstate(over="ignore"):
-            xx, norm = inner(x, x), schatten_norm(x, params)
-        in_range = np.finfo(float).tiny <= xx < math.inf and norm < math.inf
-        y = x if in_range else _binary_scaled(x)[0]
-        value = inner(x, y) - schatten_norm(y, params)
+        y, xy, norm_y = _in_range_copy(x, params)
+        value = xy - norm_y
         evals += 1
         if value > best:
             best = value

@@ -57,6 +57,13 @@ def _check_shape(shape: tuple[int, ...]) -> None:
         raise ValueError("shape: mode sizes must be positive")
 
 
+def _check_tol(tol) -> None:
+    # the one rule for every public tolerance; NaN and inf would make a
+    # verdict constant, whatever its operands
+    if not (isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol: tolerance must be a finite real >= 0, got {tol!r}")
+
+
 def _mode_axis(ndim: int, mode: int) -> int:
     if not 1 <= mode <= ndim:
         raise ValueError(f"mode: expected a value in 1..{ndim}, got {mode}")
@@ -213,8 +220,9 @@ def is_symmetric(x, tol: float = 1e-10) -> bool:
     permutation is a product of at most C(D, 2) of them, so it moves an
     accepted ``x`` by at most C(D, 2) times that bound. The bound has no
     absolute floor, so the verdict does not depend on the scale of ``x``;
-    the zero tensor is symmetric.
+    the zero tensor is symmetric. ``tol`` must be finite and nonnegative.
     """
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     _require_cubic(x)
     bound = tol * frobenius(x)
@@ -224,21 +232,15 @@ def is_symmetric(x, tol: float = 1e-10) -> bool:
     )
 
 
-def _symmetrize_stack(stack: np.ndarray) -> np.ndarray:
-    """Symmetrize each tensor of a stack ``(k, n, ..., n)`` over its indices.
-
-    Slice i of the result is ``symmetrize(stack[i])`` bit for bit: the
-    permuted copies are summed in the same order.
-    """
-    ndim = stack.ndim - 1
-    acc = np.zeros_like(stack)
-    for perm in permutations(range(1, ndim + 1)):
-        acc += np.transpose(stack, (0,) + perm)
-    return acc / factorial(ndim)
-
-
 def symmetrize(x) -> np.ndarray:
-    """Average of ``x`` over all permutations of its indices (idempotent)."""
+    """Average of ``x`` over all permutations of its indices (idempotent).
+
+    The D! transposes are summed in ``itertools.permutations`` order, then
+    divided by D!.
+    """
     x = np.asarray(x, dtype=float)
     _require_cubic(x)
-    return _symmetrize_stack(x[None])[0]
+    acc = np.zeros_like(x)
+    for perm in permutations(range(x.ndim)):
+        acc += np.transpose(x, perm)
+    return acc / factorial(x.ndim)

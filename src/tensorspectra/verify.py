@@ -277,8 +277,11 @@ def grid_best_pairing(s, p: float, resolution: float = 1e-3) -> float:
     simplex grid with the given step and normalizes each to unit conjugate
     norm; for p = 1 (conjugate exponent infinity) the faces of the unit cube
     are gridded directly. Serves as the independent oracle for
-    :func:`tensorspectra.subdiff.dual_vector_maximizer`.
+    :func:`tensorspectra.subdiff.dual_vector_maximizer`. ``resolution``
+    must be a real in (0, 1].
     """
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"resolution: need a real in (0, 1], got {resolution!r}")
     rows = np.asarray(s, dtype=float).reshape(1, -1)
     return float(_grid_best_pairings(rows, p, resolution)[0])
 
@@ -380,9 +383,7 @@ def suite_subgradients(seed: int) -> SuiteResult:
         r = int(rng.integers(1, n + 1))
         reps.append(random_symmetric_odeco(n, ndim, r, int(rng.integers(2**63 - 1))))
 
-    # grouped by shape (a stable sort), so the points of one shape share the
-    # point-free specials of subgradient_inequality_test
-    for rep in sorted(reps, key=lambda rep: rep.shape):
+    for rep in reps:
         dense = to_dense(rep)
         ndim = len(rep.shape)
         for params in _param_grid(ndim):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import is_orthogonal
 from .spectral import mode_spectrum
-from .tensor import _check_shape, frobenius, inner, multi_mode_mul
+from .tensor import _check_shape, _check_tol, frobenius, inner, multi_mode_mul
 
 __all__ = [
     "VnReport",
@@ -100,8 +100,7 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     it leaves the range of binary64 (then it is infinite). ``tol`` must be
     finite and nonnegative.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol: tolerance must be a finite real >= 0, got {tol!r}")
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -143,8 +142,10 @@ def find_block_partition(cx, cy, tol: float = 1e-10) -> BlockPartition:
     links its mode-1 index to each of its other indices; connected
     components become blocks, ordered by their smallest mode-1 index.
     Indices touching no above-threshold entry are gathered into one shared
-    residual block (zero block for both inputs). Both inputs must be finite.
+    residual block (zero block for both inputs). Both inputs must be
+    finite, and ``tol`` finite and nonnegative.
     """
+    _check_tol(tol)
     cx, cy = _finite_cores(cx, cy)
     dims = cx.shape
 
@@ -219,8 +220,10 @@ def verify_equality_structure(
     is tested as a copy scaled by a power of two to [1/2, 1). Tolerances are
     relative, with no absolute floor, so the verdict does not depend on the
     scale of either core and no square overflows; each constant is scaled
-    back exactly. Both cores must be finite.
+    back exactly. Both cores must be finite, and ``tol`` finite and
+    nonnegative.
     """
+    _check_tol(tol)
     cx, cy = _finite_cores(cx, cy)
     _check_partition(partition, cx.shape)
 

@@ -1,12 +1,14 @@
 import itertools
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tensorspectra
 from tensorspectra import linalg, odeco, spectral, subdiff, tensor, vonneumann
@@ -42,22 +44,51 @@ def test_the_package_logger_is_silent_by_default():
     assert logging.getLogger(subdiff.__name__).parent is logger
 
 
-def test_each_specials_build_logs_one_debug_record(caplog, monkeypatch):
-    # a cold (shape, seed) builds the point-free specials; a repeat and a
-    # second point of that shape and seed build nothing
-    monkeypatch.setattr(subdiff, "_last_point_free", None)
+_TOLERANT = {
+    "is_symmetric": lambda tol: tensor.is_symmetric(np.ones((2, 2)), tol=tol),
+    "is_orthogonal": lambda tol: linalg.is_orthogonal(2.0 * np.eye(2), tol=tol),
+    "complete_orthonormal": lambda tol: linalg.complete_orthonormal(
+        [[5.0], [0.0]], tol=tol
+    ),
+    "tuple_membership": lambda tol: subdiff.tuple_membership(
+        [[1, 0], [1, 0]], [[5, 0], [5, 0]], spectral.SchattenParams(2, 2, 1), tol=tol
+    ),
+    "find_block_partition": lambda tol: vonneumann.find_block_partition(
+        np.eye(2), np.eye(2), tol=tol
+    ),
+    "verify_equality_structure": lambda tol: vonneumann.verify_equality_structure(
+        np.eye(2),
+        np.eye(2),
+        vonneumann.BlockPartition(blocks=(((1, 2), (1, 2)),)),
+        tol=tol,
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-8])
+@pytest.mark.parametrize("name", sorted(_TOLERANT))
+def test_every_public_tolerance_is_finite_and_nonnegative(name, tol):
+    # inf accepted 2 I as orthogonal, 5 e1 as orthonormal and any tuple
+    # candidate, and nan or inf changed block partitions; vn_report's rule
+    # holds for all
+    with pytest.raises(ValueError, match=r"^tol: tolerance must be a finite real >= 0, got "):
+        _TOLERANT[name](tol)
+
+
+def test_each_subgradient_test_logs_the_member_at_its_minimum(caplog):
+    # one DEBUG record per call: g = 0 fails the pairing, and y = 0 x sets
+    # the minimum, -N(x); g = 2 x leaves the dual ball, and y = 2 g does
     caplog.set_level(logging.DEBUG, logger="tensorspectra")
-    rng = np.random.default_rng(0)
-    x, y = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4, 2))
-    for point, params in ((x, (2, 2, 1)), (x, (3, 2, 1)), (y, (2, 2, 1))):
-        subdiff.subgradient_inequality_test(
-            point, point, spectral.SchattenParams(*params), trials=40
-        )
+    x = np.random.default_rng(0).standard_normal((3, 4, 2))
+    params = spectral.SchattenParams(2, 2, 1)
+    for g in (0.0 * x, 2.0 * x):
+        subdiff.subgradient_inequality_test(x, g, params, trials=40)
     assert {(r.name, r.levelno) for r in caplog.records} == {
         ("tensorspectra.subdiff", logging.DEBUG)
     }
     assert [r.getMessage() for r in caplog.records] == [
-        "specials: building the point-free part at shape (3, 4, 2)"
+        "subgradient test: minimum at y = 0 x",
+        "subgradient test: minimum at y = 2 g",
     ]
 
 
@@ -89,4 +120,4 @@ def test_records_reach_stderr_only_when_configured():
     assert runs["default"].stderr == ""
     assert runs["debug"].stdout == runs["default"].stdout
     assert json.loads(runs["default"].stdout)["shape"] == [3, 3, 3]
-    assert "building the point-free part at shape (2, 2, 2)" in runs["debug"].stderr
+    assert "subgradient test: minimum at y = 2 x" in runs["debug"].stderr

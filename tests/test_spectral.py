@@ -557,10 +557,10 @@ class TestSpectraMemo:
 
     def test_a_certify_sweep_decomposes_its_point_once(self, monkeypatch):
         # one odeco point and its candidates g and 2g over the grid, as the
-        # certify-small benchmark sweeps them, specials warm: x's entry
-        # survives each candidate, so x is decomposed once and each of the
-        # ten candidates once
-        from tensorspectra import schatten_subgradient
+        # certify-small benchmark sweeps them: x's entry survives each
+        # candidate, so x is decomposed once; g is decomposed again for
+        # N(g) in the subgradient test, after 2g took its entry
+        from tensorspectra import schatten_subgradient, spectral
         from tensorspectra.verify import _param_grid
 
         rep = random_odeco((3, 3, 3), 3, 5)
@@ -568,12 +568,19 @@ class TestSpectraMemo:
         grid = _param_grid(x.ndim)
         subgradient_inequality_test(x, x, grid[0], trials=200, seed=0)
         calls = self.counted_calls(monkeypatch)
+        counted = spectral.singular_values
+        unfoldings = []
+        monkeypatch.setattr(
+            spectral, "singular_values", lambda m: unfoldings.append(m.tobytes()) or counted(m)
+        )
         for params in grid:
             g = schatten_subgradient(rep, params)
             assert check_membership(x, g, params).accepted
             assert not check_membership(x, 2.0 * g, params).accepted
             assert subgradient_inequality_test(x, g, params, trials=200, seed=0) >= -1e-9
-        assert calls == [(1, 3, 9)] * (x.ndim * (1 + 2 * len(grid)))
+        assert calls == [(1, 3, 9)] * (x.ndim * (1 + 3 * len(grid)))
+        of_x = {matricize(x, d).tobytes() for d in range(1, x.ndim + 1)}
+        assert sum(m in of_x for m in unfoldings) == x.ndim
 
 
 _DOMAIN_PARAMS = SchattenParams(2.0, 2.0, 1.0)

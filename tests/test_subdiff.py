@@ -40,14 +40,11 @@ from tensorspectra import (
 )
 from tensorspectra import (
     mode_spectrum,
-    multi_mode_mul,
-    random_orthogonal,
     spectral,
     subdiff,
     symmetrize,
     vn_report,
 )
-from tensorspectra.linalg import _random_orthogonals
 from tensorspectra.spectral import _mixed_norm, _schatten_norms, _stacked_spectra
 from tensorspectra.verify import _param_grid, grid_best_pairing
 
@@ -410,8 +407,9 @@ class TestMembership:
     @pytest.mark.parametrize("seed", range(3))
     def test_rejected_gradient_is_not_a_final_rejection(self, seed):
         # N is differentiable at a Gaussian point, so its gradient is its only
-        # subgradient. It meets the pairing and fails (i) and (iii), dual
-        # ratios 1.0105 / 1.0144 / 1.0096, which (ii) does not make final
+        # subgradient. It meets the pairing and fails the dual bound (dual
+        # ratios 1.0105 / 1.0144 / 1.0096), with positive trace gaps: a
+        # rejection that the pairing does not make final
         params = SchattenParams(3, 2, 1)
         x = np.random.default_rng(seed).standard_normal((3, 4, 5))
         certificate = check_membership(x, _lewis_gradient(x, params), params)
@@ -472,7 +470,7 @@ class TestSamplingOracle:
         slack = subgradient_inequality_test(
             dense, np.zeros((3, 3, 3)), params, trials=100, seed=0
         )
-        # y = 0 is a special, where the slack equals -N(x)
+        # y = 0 x is the first member, where the slack equals -N(x)
         assert slack == pytest.approx(-nuclear_norm(dense), rel=1e-12)
 
     def test_zero_point_zero_candidate(self):
@@ -493,17 +491,16 @@ class TestSamplingOracle:
             with pytest.raises(ValueError, match="^g: entries must be finite$"):
                 subgradient_inequality_test(x, g, SchattenParams(3, 2, 1), trials=31)
 
-    @pytest.mark.parametrize("dims, count", [((3, 3, 3), 31), ((3, 4, 5), 23)])
-    def test_trials_past_the_specials_change_nothing(self, dims, count):
-        # the minimum is over the specials alone: a Gaussian g, whose slack
-        # any extra sample could lower, gives the same bits at every cap
-        # from their count on
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5)])
+    def test_trials_past_the_specials_change_nothing(self, dims):
+        # the minimum is over the 13 members of the two rays alone: a
+        # Gaussian g gives the same bits at every cap from their count on
         x = to_dense(random_odeco(dims, 2, 11))
         g = np.random.default_rng(5).standard_normal(dims)
         params = SchattenParams(3, 2, 1)
         slacks = [
             _cold_slack(x, g, params, trials=trials, seed=4)
-            for trials in (count, 31, 10_000)
+            for trials in (13, 31, 10_000)
         ]
         assert slacks[0] == slacks[1] == slacks[2]
 
@@ -518,87 +515,103 @@ class TestSamplingOracle:
         assert many_peak <= 1.25 * few_peak
         assert few == many
 
+    def test_no_random_number_is_drawn(self):
+        # seed is accepted and changes nothing
+        x = to_dense(random_odeco((3, 3, 3), 2, 11))
+        g = np.random.default_rng(5).standard_normal(x.shape)
+        params = SchattenParams(3, 2, 1)
+        expected = subgradient_inequality_test(x, g, params, seed=0)
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError):
+            for seed in (0, 1, 2**40):
+                assert subgradient_inequality_test(x, g, params, seed=seed) == expected
+
 
 _SCALES = (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0)
 
 
-def _per_seed_specials(x, seed):
-    # the special candidates built one at a time, each from its own seeded
-    # random_orthogonal, multi_mode_mul, symmetrize and random_odeco call
-    dims = x.shape
-    rng = np.random.default_rng([seed, 104729])
-    specials = [c * x for c in _SCALES]
-    for _ in range(8):
-        frames = [random_orthogonal(n, int(rng.integers(2**63 - 1))) for n in dims]
-        specials.append(multi_mode_mul(x, frames))
-    if len(set(dims)) == 1:
-        for _ in range(8):
-            specials.append(symmetrize(rng.standard_normal(dims)))
-    for _ in range(8):
-        specials.append(
-            to_dense(random_odeco(dims, min(dims), int(rng.integers(2**63 - 1))))
-        )
-    return np.stack(specials)
-
-
-class TestStackedSpecials:
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4, 5), (2, 3, 4, 2)])
-    def test_rotated_copies_equal_multi_mode_mul(self, dims):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal(dims)
-        frames = [_random_orthogonals(n, rng.integers(0, 2**62, size=8)) for n in dims]
-        stack = subdiff._rotated_copies(x, frames)
-        assert stack.shape == (8,) + dims
-        for k in range(8):
-            assert np.array_equal(stack[k], multi_mode_mul(x, [f[k] for f in frames]))
-
-    @pytest.mark.parametrize("dims, count", [((3, 3, 3), 31), ((3, 4, 5), 23)])
-    @pytest.mark.parametrize("params", PARAM_GRID_3)
-    def test_specials_only_slack_equals_per_seed_loop(self, dims, count, params):
-        # trials equal to the special count: every special enters the minimum.
-        # x's 15 copies take N(cx) = |c| N(x) and N(Rx) = N(x), so only their
-        # pairings read the copies; the other specials are decomposed
-        x = to_dense(random_odeco(dims, 2, 23))
-        g = np.random.default_rng(24).standard_normal(dims)
-        specials = _per_seed_specials(x, 6)
-        assert specials.shape[0] == count
-        norm_x, gx = schatten_norm(x, params), inner(g, x)
-        scales = np.array(_SCALES)
-        free = specials[15:]
-        norms = _schatten_norms(_stacked_spectra(free), params)
-        slacks = np.concatenate(
-            [
-                (np.abs(scales) - 1.0) * norm_x - (scales - 1.0) * gx,
-                gx - subdiff._pairings(specials[7:15], g),
-                norms - norm_x - (subdiff._pairings(free, g) - gx),
-            ]
-        )
-        got = subgradient_inequality_test(x, g, params, trials=count, seed=6)
-        assert got == float(np.min(slacks))
-
+class TestRays:
     @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5), (2, 3, 4, 2)])
     @pytest.mark.parametrize("params", PARAM_GRID_3)
-    def test_copies_of_x_have_the_closed_form_norms(self, dims, params):
-        # the decomposed copies agree with N(cx) = |c| N(x) and N(Rx) = N(x)
-        # to within 1e-14 relative (a few ulp are seen)
-        x = np.random.default_rng(41).standard_normal(dims)
-        copies = _per_seed_specials(x, 6)[:15]
-        norm_x = schatten_norm(x, params)
-        expected = np.concatenate([np.abs(_SCALES) * norm_x, np.full(8, norm_x)])
-        got = _schatten_norms(_stacked_spectra(copies), params)
-        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+    def test_the_closed_forms_equal_the_decomposed_slacks(self, dims, params):
+        # N(c t) = |c| N(t): each member decomposed and paired one at a time
+        # agrees to within 1e-14 of the slack's scale (a few ulp are seen)
+        rng = np.random.default_rng(41)
+        x, g = rng.standard_normal((2,) + dims)
+        norm_x, gx = schatten_norm(x, params), inner(g, x)
+        members = [c * x for c in _SCALES] + [c * g for c in _SCALES[1:]]
+        loop = [schatten_norm(y, params) - norm_x - (inner(g, y) - gx) for y in members]
+        scale = max(schatten_norm(y, params) + abs(inner(g, y)) for y in members)
+        for trials in (1, 7, 8, 13):
+            got = subgradient_inequality_test(x, g, params, trials=trials)
+            assert abs(got - min(loop[:trials])) <= 1e-14 * scale
 
-    def test_a_cold_shape_and_seed_draws_eight_odeco_specials(self, monkeypatch):
-        # the odeco specials depend on (shape, seed) alone: a second point of
-        # the same shape and seed draws none
-        monkeypatch.setattr(subdiff, "_last_point_free", None)
-        rng = np.random.default_rng(25)
-        x, y = rng.standard_normal((2, 3, 2)), rng.standard_normal((2, 3, 2))
-        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
-            subgradient_inequality_test(x, x, SchattenParams(2, 2, 1), trials=5)
-            assert spy.call_count == 8
-            subgradient_inequality_test(y, y, SchattenParams(2, 2, 1), trials=5)
-            assert spy.call_count == 8
+    def test_the_x_ray_tests_the_pairing_and_the_g_ray_the_dual_ball(self):
+        # at an odeco point, with G its canonical subgradient and h
+        # orthogonal to x: G + t ||G|| / ||h|| h keeps the pairing, which the
+        # x ray (the first 7 members) reads as a subgradient, and leaves the
+        # dual ball, which the g ray shows
+        rep = random_odeco((3, 3, 3), 3, 5)
+        x = to_dense(rep)
+        h = np.random.default_rng(0).standard_normal(x.shape)
+        h -= inner(h, x) / inner(x, x) * x
+        for params, t, expected in (
+            (SchattenParams(3, 2, 1), 1.0, -3.638244432755864),
+            (SchattenParams(2, 1, 1), 0.01, -9.000224988797711e-4),
+        ):
+            big = schatten_subgradient(rep, params)
+            g = big + t * frobenius(big) / frobenius(h) * h
+            assert subgradient_inequality_test(x, g, params, trials=7) >= -1e-15
+            assert subgradient_inequality_test(x, g, params) == pytest.approx(
+                expected, rel=1e-9
+            )
+
+    @pytest.mark.parametrize("lam", [1e160, 1e300])
+    def test_huge_lambda_takes_the_g_ray_on_a_scaled_copy(self, lam):
+        # ||g||^2 and N(g) overflow here; on g's binary-scaled copy the
+        # slack of G is that of the x ray, as before the g ray, 2 G is
+        # rejected, and so is the candidate outside the dual ball that only
+        # the g ray falsifies, with no RuntimeWarning
+        rep = random_odeco((3, 3, 3), 3, 5)
+        x = to_dense(rep)
+        params = SchattenParams(3, 2, lam)
+        big = schatten_subgradient(rep, params)
+        h = np.random.default_rng(0).standard_normal(x.shape)
+        h -= inner(h, x) / inner(x, x) * x
+        outside = big + frobenius(big) / frobenius(h) * h
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slack = subgradient_inequality_test(x, big, params)
+            doubled = subgradient_inequality_test(x, 2.0 * big, params)
+            falsified = subgradient_inequality_test(x, outside, params)
+        assert slack == subgradient_inequality_test(x, big, params, trials=7)
+        assert slack == {1e160: -3.1217485503159922e144, 1e300: -1.487016908477783e285}[lam]
+        assert doubled < 0.0
+        assert falsified < -lam
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (3, 3, 3)])
+    @pytest.mark.parametrize("params", [SchattenParams(3, 2, 1), SchattenParams(1.5, 3, 0.5)])
+    def test_the_gradient_at_a_differentiable_point(self, shape, params):
+        # N is differentiable at these Gaussian and symmetrized points, so
+        # its gradient is its only subgradient: no member falsifies it, it
+        # meets the pairing, and any g = grad + t h with h orthogonal to x
+        # outside the dual ball (<g, g> > N(g)) is falsified by the g ray,
+        # beyond the -1e-9 that the subgradients suite forgives
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        if len(set(shape)) == 1:
+            x = symmetrize(x)
+        grad = _lewis_gradient(x, params)
+        assert subgradient_inequality_test(x, grad, params) >= -1e-9
+        assert check_membership(x, grad, params).notes["pairing"]
+        h = rng.standard_normal(shape)
+        h -= inner(h, x) / inner(x, x) * x
+        witnesses = 0
+        for t in (1e-3, 1e-2, 1e-1, 1.0):
+            g = grad + t * frobenius(grad) / frobenius(h) * h
+            if inner(g, g) > schatten_norm(g, params):
+                witnesses += 1
+                assert subgradient_inequality_test(x, g, params) < -1e-9
+        assert witnesses
 
 
 def _certificate_points():
@@ -617,8 +630,8 @@ CERTIFICATE_POINTS = _certificate_points()
 
 class TestCertificateBits:
     """check_membership is the public composition, and the subgradient test
-    is the same with its specials kept or built again; neither may change a
-    bit."""
+    is the same with the spectra of x and g kept or decomposed again;
+    neither may change a bit."""
 
     @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
     def test_membership_fields_equal_the_public_composition(self, name):
@@ -648,81 +661,33 @@ class TestCertificateBits:
                 assert report.per_mode_bound.tobytes() == bounds.tobytes()
 
     @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
-    def test_inequality_test_is_the_same_cold_warm_and_streamed(
-        self, name, monkeypatch
-    ):
-        # 31 or 23 specials, and trials past their count; streamed means
-        # built on every call, with the cap at 0
+    def test_inequality_test_is_the_same_cold_and_warm(self, name):
+        # warm: x and g decomposed at the first grid point, norms new at each
         x = CERTIFICATE_POINTS[name]
         g = np.random.default_rng(23).standard_normal(x.shape)
-        monkeypatch.setattr(subdiff, "_last_point_free", None)
 
         def slack(params):
             return subgradient_inequality_test(x, g, params, trials=331, seed=9)
 
         grid = _param_grid(x.ndim)
-        streamed = []
-        with mock.patch.object(subdiff, "_POOL_CACHE_BYTES", 0):
-            for params in grid:
-                streamed.append(slack(params))
-                assert subdiff._last_point_free is None
-        # the specials built at the first grid point, norms new at each
-        warm = [slack(params) for params in grid]
         cold = [_cold_slack(x, g, params, trials=331, seed=9) for params in grid]
-        assert cold == warm == streamed
-
-
-@pytest.fixture
-def fresh_specials(monkeypatch):
-    monkeypatch.setattr(subdiff, "_last_point_free", None)
+        warm = [slack(params) for params in grid]
+        assert cold == warm
 
 
 def _cold_slack(x, g, params, **kwargs):
-    # a call with the specials entry empty
-    subdiff._last_point_free = None
+    # a call with the spectra entries empty
+    spectral._last_spectra = None
     return subgradient_inequality_test(x, g, params, **kwargs)
 
 
-@pytest.mark.usefixtures("fresh_specials")
-class TestSpecialsMemo:
-    """The one kept specials entry behind ``subgradient_inequality_test``:
-    the point-free specials of the last (shape, seed)."""
-
-    @staticmethod
-    def bits(values):
-        return np.array(values, dtype=float).tobytes()
-
-    @pytest.mark.parametrize("name", list(CERTIFICATE_POINTS))
-    def test_a_hit_equals_a_cold_call_at_every_grid_point(self, name, monkeypatch):
-        x = CERTIFICATE_POINTS[name]
-        g = np.random.default_rng(26).standard_normal(x.shape)
-        grid = _param_grid(x.ndim)
-
-        def slack(params):
-            return subgradient_inequality_test(x, g, params, trials=60, seed=4)
-
-        hits = [slack(params) for params in grid]  # built at the first point
-        kept = subdiff._last_point_free
-        assert [slack(params) for params in grid] == hits
-        assert subdiff._last_point_free is kept
-        cold = []
-        for params in grid:
-            monkeypatch.setattr(subdiff, "_last_point_free", None)
-            cold.append(slack(params))
-        assert self.bits(hits) == self.bits(cold)
-
-    def test_the_kept_arrays_are_read_only(self):
-        frames, free, free_spectra = subdiff._point_free_specials((3, 3, 3), 0)
-        hit = subdiff._point_free_specials((3, 3, 3), 0)
-        assert hit[0] is frames and hit[1] is free and hit[2] is free_spectra
-        for a in (*frames, free, free_spectra):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 1.0
+class TestSpectraEntries:
+    """The subgradient test keeps nothing of its own: it reads N(x) and N(g)
+    through the two spectra entries."""
 
     def test_threads_alternating_points_get_their_own_slacks(self):
         # each thread repeats its own point, the two meeting at a barrier
-        # every other call, so hits and replacements of the one entry
+        # every other call, so hits and replacements of the entries
         # interleave
         import sys
         import threading
@@ -730,10 +695,7 @@ class TestSpecialsMemo:
         params = SchattenParams(3, 2, 1)
         rng = np.random.default_rng(32)
         points = [rng.standard_normal((4, 4, 4)), rng.standard_normal((2, 3, 2))]
-        expected = []
-        for x in points:
-            subdiff._last_point_free = None
-            expected.append(subgradient_inequality_test(x, x, params, trials=31))
+        expected = [_cold_slack(x, 0.5 * x, params, trials=31) for x in points]
         meet = threading.Barrier(2)
         wrong = [0, 0]
         done = [0, 0]
@@ -742,7 +704,9 @@ class TestSpecialsMemo:
             for k in range(20):
                 if k % 2 == 0:
                     meet.wait()
-                got = subgradient_inequality_test(points[i], points[i], params, trials=31)
+                got = subgradient_inequality_test(
+                    points[i], 0.5 * points[i], params, trials=31
+                )
                 wrong[i] += got != expected[i]
                 done[i] += 1
 
@@ -760,65 +724,26 @@ class TestSpecialsMemo:
         assert done == [20, 20]
         assert wrong == [0, 0]
 
-    def test_a_repeat_at_another_grid_point_draws_no_odeco_special(self):
-        x = np.random.default_rng(33).standard_normal((3, 3, 3))
-        grid = _param_grid(x.ndim)
-        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
-            subgradient_inequality_test(x, x, grid[0], trials=40)
-            assert spy.call_count == 8
-            for params in grid[1:]:
-                subgradient_inequality_test(x, x, params, trials=40)
-            assert spy.call_count == 8
-
-    def test_points_of_one_shape_and_seed_share_the_point_free_specials(self):
-        # two points of one shape and seed: 8 odeco specials drawn, not 16,
-        # and every slack equal to a call with the entry empty
-        rng = np.random.default_rng(36)
-        points = [to_dense(random_odeco((3, 3, 3), 2, 37)), rng.standard_normal((3, 3, 3))]
-        grid = _param_grid(3)
-        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
-            swept = [
-                subgradient_inequality_test(x, x, params, trials=40, seed=3)
-                for x in points
-                for params in grid
-            ]
-        assert spy.call_count == 8
-        cold = [
-            _cold_slack(x, x, params, trials=40, seed=3) for x in points for params in grid
-        ]
-        assert self.bits(swept) == self.bits(cold)
-
-    @pytest.mark.parametrize("dims", [(3, 3, 3), (3, 4, 5)])
-    def test_the_joined_spectra_equal_those_of_the_joined_stack(self, dims):
-        # 8 symmetric specials for a cubic shape, then 8 odeco ones
-        frames, free, free_spectra = subdiff._point_free_specials(dims, 5)
-        assert free.shape == (16 if len(set(dims)) == 1 else 8,) + dims
-        assert free_spectra.tobytes() == _stacked_spectra(np.array(free)).tobytes()
-        assert [f.shape for f in frames] == [(8, n, n) for n in dims]
-
-    def test_a_new_point_decomposes_nothing(self):
-        # with the point-free entry and x's spectra warm, x's 15 copies take
-        # their norms from N(x): no singular_values call at all
-        x = np.random.default_rng(42).standard_normal((3, 4, 5))
+    def test_a_warm_point_and_candidate_decompose_nothing(self):
+        # with the spectra of x and g warm, no singular_values call at all
+        rng = np.random.default_rng(42)
+        x, g = rng.standard_normal((2, 3, 4, 5))
         params = SchattenParams(3, 2, 1)
-        subdiff._point_free_specials(x.shape, 0)
-        schatten_norm(x, params)
+        expected = _cold_slack(x, g, params, trials=31)
         with mock.patch.object(
             spectral, "singular_values", wraps=spectral.singular_values
         ) as spy:
-            slack = subgradient_inequality_test(x, x, params, trials=31)
+            slack = subgradient_inequality_test(x, g, params, trials=31)
         assert spy.call_count == 0
-        assert slack == _cold_slack(x, x, params, trials=31)
+        assert slack == expected
 
     def test_a_new_point_keeps_no_copy(self):
-        # the rotated copies are dropped after the call; the spectra entries
-        # held two other 20^3 tensors, so x's replaces one of its own size,
-        # and the bound allows one copy of x
+        # the spectra entries held two other 20^3 tensors, so x's and g's
+        # replace two of their own size, and the bound allows one copy of x
         rng = np.random.default_rng(43)
         x, g = rng.standard_normal((2, 20, 20, 20))
         params = SchattenParams(2, 2, 1)
-        subdiff._point_free_specials(x.shape, 0)
-        tracemalloc.start()  # before the entries that x's evicts are made
+        tracemalloc.start()  # before the entries that x's and g's evict are made
         try:
             for other in rng.standard_normal((2, 20, 20, 20)):
                 schatten_norm(other, params)
@@ -828,52 +753,6 @@ class TestSpecialsMemo:
         finally:
             tracemalloc.stop()
         assert kept <= x.nbytes
-
-    def test_a_point_free_set_over_the_cap_is_not_kept(self, monkeypatch):
-        x = np.random.default_rng(39).standard_normal((3, 3, 3))
-        params = SchattenParams(2, 1, 1)
-        slack = subgradient_inequality_test(x, x, params, trials=31)
-        frames, free, free_spectra = subdiff._last_point_free[1]
-        nbytes = sum(a.nbytes for a in (*frames, free, free_spectra))
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes - 1)
-        subdiff._last_point_free = None
-        with mock.patch.object(subdiff, "random_odeco", wraps=random_odeco) as spy:
-            assert subgradient_inequality_test(x, x, params, trials=31) == slack
-            assert subgradient_inequality_test(2.0 * x, x, params, trials=31) == (
-                _cold_slack(2.0 * x, x, params, trials=31)
-            )
-        assert spy.call_count == 24
-        assert subdiff._last_point_free is None
-        monkeypatch.setattr(subdiff, "_POOL_CACHE_BYTES", nbytes)
-        assert _cold_slack(x, x, params, trials=31) == slack
-        assert subdiff._last_point_free is not None
-
-    def test_a_call_inside_a_point_free_build_leaves_no_torn_entry(self, monkeypatch):
-        # while the point-free specials of x's shape are decomposed, a call at
-        # another shape builds and keeps its own; each entry stays whole
-        params = SchattenParams(3, 2, 1)
-        rng = np.random.default_rng(40)
-        x, y = rng.standard_normal((4, 4, 4)), rng.standard_normal((2, 3, 2))
-        expected = {
-            "x": _cold_slack(x, x, params, trials=31),
-            "y": _cold_slack(y, y, params, trials=31),
-        }
-        subdiff._last_point_free = None
-        original = subdiff._symmetrize_stack
-
-        def interrupted(stack):
-            assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
-            return original(stack)
-
-        monkeypatch.setattr(subdiff, "_symmetrize_stack", interrupted)
-        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
-        assert subdiff._last_point_free[0] == ((4, 4, 4), 0)
-        monkeypatch.setattr(subdiff, "_symmetrize_stack", original)
-        assert subgradient_inequality_test(y, y, params, trials=31) == expected["y"]
-        assert subgradient_inequality_test(x, x, params, trials=31) == expected["x"]
-        (shape, seed), (frames, free, free_spectra) = subdiff._last_point_free
-        assert shape == free.shape[1:] and len(frames) == len(shape)
-        assert free_spectra.shape[0] == free.shape[0]
 
 
 class TestMatrixReduction:
@@ -1093,25 +972,32 @@ def test_ragged_mixed_norm_equals_zero_padded():
 
 
 class TestPinnedValues:
-    """Values of the seeded odeco case below, as computed before the norms,
-    spectra and specials were batched; they must not drift."""
+    """Values of the seeded odeco case below. The x ray's must not drift:
+    they are those computed before the norms, spectra and specials were
+    batched. The full family's were pinned when the g ray replaced the
+    random specials."""
 
     REP = random_odeco((3, 3, 3), 2, 11)
     PARAMS = SchattenParams(3, 2, 1)
 
+    def slack(self, g, trials):
+        return subgradient_inequality_test(
+            to_dense(self.REP), g, self.PARAMS, trials=trials, seed=4
+        )
+
     def test_inequality_test_with_a_gaussian_candidate(self):
         g = np.random.default_rng(5).standard_normal((3, 3, 3))
-        slack = subgradient_inequality_test(
-            to_dense(self.REP), g, self.PARAMS, trials=2000, seed=4
-        )
-        assert abs(slack - (-3.1454610559829694)) <= 1e-12
+        assert abs(self.slack(g, 7) - (-3.1454610559829694)) <= 1e-12
 
     def test_inequality_test_on_specials_only(self):
         g = 1.5 * schatten_subgradient(self.REP, self.PARAMS)
-        slack = subgradient_inequality_test(
-            to_dense(self.REP), g, self.PARAMS, trials=31, seed=4
-        )
-        assert abs(slack - (-1.2645057400299353)) <= 1e-12
+        assert abs(self.slack(g, 7) - (-1.2645057400299353)) <= 1e-12
+
+    def test_inequality_test_on_the_full_family(self):
+        g = np.random.default_rng(5).standard_normal((3, 3, 3))
+        assert abs(self.slack(g, 2000) - (-34.94477995548189)) <= 1e-12
+        g = 1.5 * schatten_subgradient(self.REP, self.PARAMS)
+        assert abs(self.slack(g, 13) - (-3.2271426755509185)) <= 1e-12
 
 
 class TestSubgradientBytes:
@@ -1243,7 +1129,7 @@ def test_dual_ratio_at_most_one_proves_the_conjugate_zero(dims, p, q, ratio, see
     # no seeded Gaussian direction beats y = 0 ...
     stack = np.random.default_rng([seed, 1]).standard_normal((200,) + shape)
     norms = _schatten_norms(_stacked_spectra(stack), params)
-    pairings = subdiff._pairings(stack, x)
+    pairings = np.einsum("ij,j->i", stack.reshape(len(stack), -1), x.ravel())
     scale = np.maximum(1.0, np.maximum(np.abs(pairings), norms))
     assert np.all(pairings - norms <= 1e-12 * scale)
     # ... nor does the aligned certificate: ||diag||_{p*} <= ratio lam D^(1/q)
@@ -1399,8 +1285,32 @@ _X3 = np.random.default_rng(3).standard_normal((2, 2, 2))
             lambda: schatten_subgradient(_X3, SchattenParams(2, 2, 1)),
             "rep: expected an odeco representation",
         ),
+        (
+            lambda: subgradient_inequality_test(_X3, _X3, SchattenParams(2, 2, 1), trials=2.5),
+            r"trials: need at least one sample, as an integer; got 2\.5",
+        ),
+        (
+            lambda: estimate_tensor_conjugate(_X3, SchattenParams(2, 2, 1), budget=2.5),
+            r"budget: need at least one evaluation, as an integer; got 2\.5",
+        ),
+        (lambda: grid_best_pairing([1.0, 2.0], 2.0, 0), r"resolution: need a real in \(0, 1\], got 0"),
+        (
+            lambda: grid_best_pairing([1.0, 2.0], 2.0, math.nan),
+            r"resolution: need a real in \(0, 1\], got nan",
+        ),
     ],
-    ids=["shapes", "trials", "budget", "2-D s", "p below 1", "not odeco"],
+    ids=[
+        "shapes",
+        "trials",
+        "budget",
+        "2-D s",
+        "p below 1",
+        "not odeco",
+        "fractional trials",
+        "fractional budget",
+        "zero resolution",
+        "nan resolution",
+    ],
 )
 def test_each_rejected_argument_names_its_field(call, message):
     with pytest.raises(ValueError, match=message):

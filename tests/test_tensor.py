@@ -20,7 +20,6 @@ from tensorspectra import (
     symmetrize,
     tensorize,
 )
-from tensorspectra.tensor import _symmetrize_stack
 
 
 def unit_tensor(shape, index):
@@ -296,17 +295,13 @@ class TestSymmetry:
         assert is_symmetric(symmetrize(x))
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (4, 4, 4), (2, 2, 2, 2)])
-    def test_stacked_symmetrize_equals_each_slice(self, dims):
-        stack = np.random.default_rng(13).standard_normal((5,) + dims)
-        got = _symmetrize_stack(stack)
-        for k in range(stack.shape[0]):
-            # the sum over permutations, in itertools order, of one tensor
+    def test_symmetrize_sums_the_permutations_in_itertools_order(self, dims):
+        for x in np.random.default_rng(13).standard_normal((5,) + dims):
             loop = np.zeros(dims)
             for perm in itertools.permutations(range(len(dims))):
-                loop += np.transpose(stack[k], perm)
+                loop += np.transpose(x, perm)
             loop /= math.factorial(len(dims))
-            assert np.array_equal(got[k], symmetrize(stack[k]))
-            assert np.array_equal(got[k], loop)
+            assert np.array_equal(symmetrize(x), loop)
 
     def test_small_asymmetric_tensor_rejected(self):
         # the bound was tol * max(1, ||x||_F), which accepted this at 1e-11
