@@ -21,7 +21,7 @@ from .linalg import SvdConvergenceError
 from .odeco import random_odeco, random_symmetric_odeco
 from .spectral import SchattenParams, all_mode_spectra, combined_spectrum, hosvd, schatten_norm
 from .subdiff import check_membership, estimate_tensor_conjugate, schatten_subgradient
-from .tensor import symmetrize
+from .tensor import _seed, symmetrize
 from .vonneumann import _equality_structure, vn_report
 
 __all__ = ["build_parser", "run", "main"]
@@ -142,29 +142,24 @@ def _emit(payload, out_path=None) -> None:
     if out_path is None:
         print(text, flush=True)  # a closed pipe raises here, inside run
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
+        serialize._write(out_path, text)
         print(serialize.dumps_json({"path": str(out_path)}), flush=True)
 
 
 def _cmd_gen(args) -> int:
     dims = _parse_shape(args.shape)
+    if args.kind.startswith("symmetric") and len(set(dims)) != 1:
+        raise ValueError("shape: symmetric kinds need a cubic shape")
     if args.kind in ("odeco", "symmetric-odeco"):
         rank = args.rank if args.rank is not None else min(dims)
         if args.kind == "symmetric-odeco":
-            if len(set(dims)) != 1:
-                raise ValueError("shape: symmetric kinds need a cubic shape")
             rep = random_symmetric_odeco(dims[0], len(dims), rank, args.seed)
         else:
             rep = random_odeco(dims, rank, args.seed)
         _emit(serialize.dumps_odeco(rep), args.out)
         return 0
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal(dims)
+    x = np.random.default_rng(_seed(args.seed)).standard_normal(dims)
     if args.kind == "symmetric":
-        if len(set(dims)) != 1:
-            raise ValueError("shape: symmetric kinds need a cubic shape")
         x = symmetrize(x)
     _emit(serialize.dumps_tensor(x), args.out)
     return 0
@@ -236,8 +231,7 @@ def _cmd_vn_check(args) -> int:
         "equality": report.equality,
     }
     if args.frames is not None:
-        with open(args.frames, encoding="utf-8") as handle:
-            frames = serialize.loads_matrices(handle.read())
+        frames = serialize.loads_matrices(serialize._read(args.frames))
         structure = _equality_structure(x, y, frames, args.tol, report)
         payload["structure"] = {
             "verified": structure.verified,
@@ -267,10 +261,7 @@ def _cmd_conjugate_check(args) -> int:
         "inside_dual_ball": estimate.inside_dual_ball,
     }
     if estimate.best_value > 0.0:
-        payload["certificate"] = {
-            "shape": list(estimate.maximizer.shape),
-            "data": estimate.maximizer.ravel().tolist(),
-        }
+        payload["certificate"] = serialize._tensor_doc(estimate.maximizer)
     _emit(payload)
     return 0
 

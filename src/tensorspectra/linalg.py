@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _check_tol
+from .tensor import _check_tol, _integer, _seed
 
 __all__ = [
     "SvdResult",
@@ -120,10 +120,9 @@ def is_orthogonal(mat, tol: float = 1e-12) -> bool:
 def _random_orthogonals(n: int, seeds) -> np.ndarray:
     # one Haar draw per seed, stacked (len(seeds), n, n): a batched QR of the
     # stacked Gaussian samples with the signs of diag(R) folded into Q
-    if n < 1:
-        raise ValueError("n: matrix size must be positive")
+    n = _integer(n, "n: matrix size must be positive")
     q, r = np.linalg.qr(
-        np.stack([np.random.default_rng(s).standard_normal((n, n)) for s in seeds])
+        np.stack([np.random.default_rng(_seed(s)).standard_normal((n, n)) for s in seeds])
     )
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * np.where(d == 0.0, 1.0, np.sign(d))[:, None, :]

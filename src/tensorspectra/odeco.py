@@ -13,6 +13,7 @@ import numpy as np
 
 from .linalg import _random_orthogonals, complete_orthonormal, random_orthogonal
 from .spectral import Hosvd
+from .tensor import _dims, _integer, _seed
 
 __all__ = [
     "OdecoRep",
@@ -71,7 +72,7 @@ def make_odeco(alphas, factors, shape=None) -> OdecoRep:
             )
         dims.append(f.shape[0])
     dims = tuple(dims)
-    if shape is not None and tuple(int(n) for n in shape) != dims:
+    if shape is not None and _dims(shape) != dims:
         raise ValueError(
             f"shape: {list(shape)} does not match factor sizes {list(dims)}"
         )
@@ -126,12 +127,11 @@ def random_odeco(shape, r: int, seed: int) -> OdecoRep:
     the first ``r`` columns of independent seeded random orthogonal matrices,
     drawn with one batched QR per distinct mode size.
     """
-    dims = tuple(int(n) for n in shape)
+    dims = _dims(shape)
     if len(dims) < 2:
         raise ValueError("shape: a tensor needs at least 2 modes")
-    if not 1 <= r <= min(dims):
-        raise ValueError(f"rank: expected 1 <= r <= {min(dims)}, got {r}")
-    rng = np.random.default_rng(seed)
+    r = _integer(r, f"rank: expected 1 <= r <= {min(dims)}, got {r}", high=min(dims))
+    rng = np.random.default_rng(_seed(seed))
     alphas = np.sort(np.abs(rng.standard_normal(r)))[::-1] + 0.1
     subs = [int(rng.integers(0, 2**63 - 1)) for _ in dims]
     # one batched draw per distinct mode size, in mode order within each size
@@ -148,11 +148,9 @@ def random_symmetric_odeco(n: int, ndim: int, r: int, seed: int) -> OdecoRep:
 
     The shared factor makes the dense tensor symmetric.
     """
-    if ndim < 2:
-        raise ValueError("ndim: a tensor needs at least 2 modes")
-    if not 1 <= r <= n:
-        raise ValueError(f"rank: expected 1 <= r <= {n}, got {r}")
-    rng = np.random.default_rng(seed)
+    ndim = _integer(ndim, "ndim: a tensor needs at least 2 modes", low=2)
+    r = _integer(r, f"rank: expected 1 <= r <= {n}, got {r}", high=n)
+    rng = np.random.default_rng(_seed(seed))
     alphas = np.sort(np.abs(rng.standard_normal(r)))[::-1] + 0.1
     shared = random_orthogonal(n, int(rng.integers(0, 2**63 - 1)))[:, :r]
     return make_odeco(alphas, [shared] * ndim, (n,) * ndim)

@@ -2,10 +2,13 @@
 
 Numbers are written with 17 significant decimal digits, which round-trips
 binary64 values exactly (``-0`` reads back as -0.0); arrays are flattened
-row-major (last index fastest). Every float array and list goes through one
-formatter that spells the whole list in a single format call, byte for byte
-as ``format(v, ".17g")`` spells each value; non-finite values in reports
-are written as null. Parse errors name the offending field.
+row-major (last index fastest). Every document is a dict written by
+:func:`dumps_json`, each tensor in it one ``{"shape", "data"}`` dict, and
+every file goes through one writer and one reader. Every float array and
+list goes through one formatter that spells the whole list in a single
+format call, byte for byte as ``format(v, ".17g")`` spells each value;
+non-finite values in reports are written as null. Parse errors name the
+offending field.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .odeco import OdecoRep, make_odeco, to_dense
 from .spectral import Hosvd
-from .tensor import as_tensor
+from .tensor import _dims, as_tensor
 
 __all__ = [
     "dumps_json",
@@ -70,6 +73,8 @@ def dumps_json(payload: Any) -> str:
     if isinstance(payload, str):
         return json.dumps(payload)
     if isinstance(payload, np.ndarray):
+        if payload.ndim == 1 and payload.dtype == np.float64:
+            return "[" + _fmt_floats(payload.tolist()) + "]"
         return dumps_json(payload.tolist())
     if isinstance(payload, (list, tuple)):
         if set(map(type, payload)) <= {float}:
@@ -120,19 +125,27 @@ def _number_list(raw, field: str, context: str) -> np.ndarray:
 def _parse_shape(raw, context: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"shape: expected a nonempty list in {context}")
-    dims = []
-    for entry in raw:
-        if isinstance(entry, bool) or not isinstance(entry, int) or entry < 1:
-            raise ValueError(f"shape: mode sizes must be positive integers, got {entry!r}")
-        dims.append(entry)
-    return tuple(dims)
+    return _dims(raw)
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.write("\n")
+
+
+def _read(path) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _tensor_doc(x) -> dict:
+    x = as_tensor(x)
+    return {"shape": x.shape, "data": x.ravel()}
 
 
 def dumps_tensor(x) -> str:
-    x = as_tensor(x)
-    data = _fmt_floats(x.ravel().tolist())
-    shape = ", ".join(str(n) for n in x.shape)
-    return f'{{"shape": [{shape}], "data": [{data}]}}'
+    return dumps_json(_tensor_doc(x))
 
 
 def loads_tensor(text: str) -> np.ndarray:
@@ -146,23 +159,16 @@ def _tensor_from_doc(doc, context: str) -> np.ndarray:
 
 
 def dump_tensor(x, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_tensor(x))
-        handle.write("\n")
+    _write(path, dumps_tensor(x))
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as handle:
-        return loads_tensor(handle.read())
+    return loads_tensor(_read(path))
 
 
 def dumps_odeco(rep: OdecoRep) -> str:
-    shape = ", ".join(str(n) for n in rep.shape)
-    alphas = _fmt_floats(rep.alphas)
-    factors = ", ".join(dumps_tensor(f) for f in rep.factors)
-    return (
-        f'{{"shape": [{shape}], "alphas": [{alphas}], "factors": [{factors}]}}'
-    )
+    factors = [_tensor_doc(f) for f in rep.factors]
+    return dumps_json({"shape": rep.shape, "alphas": rep.alphas, "factors": factors})
 
 
 def loads_odeco(text: str) -> OdecoRep:
@@ -181,20 +187,16 @@ def _odeco_from_doc(doc) -> OdecoRep:
 
 
 def dump_odeco(rep: OdecoRep, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_odeco(rep))
-        handle.write("\n")
+    _write(path, dumps_odeco(rep))
 
 
 def load_odeco(path) -> OdecoRep:
-    with open(path, encoding="utf-8") as handle:
-        return loads_odeco(handle.read())
+    return loads_odeco(_read(path))
 
 
 def dumps_hosvd(h: Hosvd) -> str:
-    core = dumps_tensor(h.core)
-    factors = ", ".join(dumps_tensor(f) for f in h.factors)
-    return f'{{"core": {core}, "factors": [{factors}]}}'
+    factors = [_tensor_doc(f) for f in h.factors]
+    return dumps_json({"core": _tensor_doc(h.core), "factors": factors})
 
 
 def loads_hosvd(text: str) -> Hosvd:
@@ -215,8 +217,7 @@ def loads_hosvd(text: str) -> Hosvd:
 
 def load_dense(path) -> np.ndarray:
     """Load a tensor document; odeco documents are densified transparently."""
-    with open(path, encoding="utf-8") as handle:
-        doc = _loads_json(handle.read())
+    doc = _loads_json(_read(path))
     if isinstance(doc, dict) and "alphas" in doc:
         return to_dense(_odeco_from_doc(doc))
     return _tensor_from_doc(doc, "tensor document")

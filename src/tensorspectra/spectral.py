@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import singular_values, svd
-from .tensor import _check_shape, _mode_axis, _unfold, matricize, multi_mode_mul
+from .tensor import _integer, _mode_axis, _tensor, _unfold, matricize, multi_mode_mul
 
 __all__ = [
     "Hosvd",
@@ -64,8 +64,7 @@ class SchattenParams:
     @classmethod
     def nuclear(cls, ndim: int) -> "SchattenParams":
         """Parameters of the nuclear norm: p = q = 1, λ = 1/D."""
-        if ndim < 2:
-            raise ValueError("ndim: a tensor needs at least 2 modes")
+        ndim = _integer(ndim, "ndim: a tensor needs at least 2 modes", low=2)
         return cls(p=1.0, q=1.0, lam=1.0 / ndim)
 
 
@@ -97,8 +96,7 @@ def hosvd(x) -> Hosvd:
     of the QR rather than of a full SVD whose (prod_{k != d} n_k)^2 V^T is
     discarded.
     """
-    x = np.asarray(x, dtype=float)
-    _check_shape(x.shape)
+    x = _tensor(x)
     factors = tuple(
         svd(_left_svd_operand(matricize(x, d))).u for d in range(1, x.ndim + 1)
     )
@@ -117,8 +115,7 @@ def mode_spectrum(x, mode: int) -> np.ndarray:
     A writable copy of a row of the spectra the norms read, zero-padded to
     length n_mode so the spectra of a cubic tensor compare across modes.
     """
-    x = np.asarray(x, dtype=float)
-    _check_shape(x.shape)
+    x = _tensor(x)
     axis = _mode_axis(x.ndim, mode)
     return _spectra(x)[axis, : x.shape[axis]].copy()
 
@@ -158,8 +155,7 @@ def _spectra(x) -> np.ndarray:
     a tensor elsewhere.
     """
     global _last_spectra
-    x = np.asarray(x, dtype=float)
-    _check_shape(x.shape)
+    x = _tensor(x)
     key = (x.shape, x.tobytes())
     last = _last_spectra or ()
     for i, pair in enumerate(last):
@@ -228,16 +224,15 @@ def schatten_norm(x, params: SchattenParams) -> float:
     """λ (Σ_d ||σ_d(x)||_p^q)^(1/q) over the per-mode spectra of ``x``.
 
     The spectra come from the one-tensor entries that :func:`mode_spectrum`,
-    :func:`all_mode_spectra` and the dual ratio share, bit for bit those of
-    a fresh decomposition.
+    :func:`all_mode_spectra`, the trace inequalities and the dual ratio
+    share, bit for bit those of a fresh decomposition.
     """
     return float(_schatten_norms(_spectra(x)[None], params)[0])
 
 
 def nuclear_norm(x) -> float:
     """Average of the per-mode singular value sums: (1/D) Σ_d ||σ_d(x)||_1."""
-    x = np.asarray(x, dtype=float)
-    _check_shape(x.shape)
+    x = _tensor(x)
     return schatten_norm(x, SchattenParams.nuclear(x.ndim))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .spectral import (
     hosvd,
     schatten_norm,
 )
-from .tensor import _check_shape, _check_tol, frobenius, inner, multi_mode_mul
+from .tensor import _check_tol, _integer, _pair, _tensor, frobenius, inner, multi_mode_mul
 from .vonneumann import _binary_scaled, vn_report
 
 __all__ = [
@@ -327,10 +326,7 @@ def check_membership(
     keeps two tensors, so x's spectra outlive one candidate: a sweep of one
     point's candidates decomposes the point once.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
+    x, y = _pair(x, y)
     # x first, then y: the two-entry spectra memo decomposes each only once
     norm_x = schatten_norm(x, params)
     report = vn_report(x, y, tol)
@@ -371,11 +367,6 @@ def _in_range_copy(t: np.ndarray, params: SchattenParams):
     return y, inner(t, y), schatten_norm(y, params)
 
 
-def _check_count(value, name: str, unit: str) -> None:
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name}: need at least one {unit}, as an integer; got {value!r}")
-
-
 def subgradient_inequality_test(
     x, g, params: SchattenParams, trials: int = 10_000, seed: int = 0
 ) -> float:
@@ -394,12 +385,9 @@ def subgradient_inequality_test(
     and a negative value proves that g is not one. Each call logs one DEBUG
     record naming the member at the minimum.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"shape: operands differ, {x.shape} vs {g.shape}")
-    _check_count(trials, "trials", "sample")
-    _check_shape(x.shape)
+    x, g = _pair(x, g)
+    _integer(trials, f"trials: need at least one sample, as an integer; got {trials!r}")
+    _tensor(x)
     if not np.isfinite(g).all():
         raise ValueError("g: entries must be finite")
 
@@ -485,7 +473,7 @@ def estimate_tensor_conjugate(
     are accepted and change nothing.
     """
     x = np.asarray(x, dtype=float)
-    _check_count(budget, "budget", "evaluation")
+    _integer(budget, f"budget: need at least one evaluation, as an integer; got {budget!r}")
     dims = x.shape
 
     best = 0.0

@@ -7,8 +7,9 @@ Modes are numbered 1..D throughout the public API. Data is stored row-major
 
 from __future__ import annotations
 
+import numbers
 from itertools import permutations
-from math import factorial, isfinite, sqrt
+from math import factorial, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -34,27 +35,36 @@ def as_tensor(data, shape=None) -> np.ndarray:
     """
     arr = np.asarray(data, dtype=float)
     if shape is not None:
-        dims = tuple(int(n) for n in shape)
-        if any(n < 1 for n in dims):
-            raise ValueError("shape: mode sizes must be positive")
+        dims = _dims(shape)
         count = int(np.prod(dims))
         if arr.size != count:
             raise ValueError(
                 f"data: got {arr.size} entries, shape {list(dims)} needs {count}"
             )
         arr = arr.reshape(dims)
-    _check_shape(arr.shape)
+    arr = _tensor(arr)
     if not np.isfinite(arr).all():
         raise ValueError("data: entries must be finite")
     return np.ascontiguousarray(arr)
 
 
-def _check_shape(shape: tuple[int, ...]) -> None:
-    # the library's domain: at least two modes, each of positive size
-    if len(shape) < 2:
+def _tensor(x) -> np.ndarray:
+    # the library's domain: a float array with at least two modes, each of
+    # positive size
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
         raise ValueError("shape: a tensor needs at least 2 modes")
-    if min(shape) < 1:
+    if min(x.shape) < 1:
         raise ValueError("shape: mode sizes must be positive")
+    return x
+
+
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
+    return x, y
 
 
 def _check_tol(tol) -> None:
@@ -64,10 +74,30 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol: tolerance must be a finite real >= 0, got {tol!r}")
 
 
+def _integer(value, message: str, low: int = 1, high: float = inf) -> int:
+    # the one rule for every integer argument, from modes to seeds: an
+    # integral value, bools excluded, in [low, high]
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and low <= value <= high):
+        raise ValueError(message)
+    return int(value)
+
+
+def _dims(shape) -> tuple[int, ...]:
+    # the mode sizes of an explicit shape
+    return tuple(
+        _integer(n, f"shape: mode sizes must be positive integers, got {n!r}")
+        for n in shape
+    )
+
+
+def _seed(seed) -> int:
+    # numpy's own error names no field
+    return _integer(seed, f"seed: expected a non-negative integer, got {seed!r}", low=0)
+
+
 def _mode_axis(ndim: int, mode: int) -> int:
-    if not 1 <= mode <= ndim:
-        raise ValueError(f"mode: expected a value in 1..{ndim}, got {mode}")
-    return mode - 1
+    return _integer(mode, f"mode: expected a value in 1..{ndim}, got {mode}", high=ndim) - 1
 
 
 def _unfold_order(ndim: int, axis: int) -> list[int]:
@@ -89,10 +119,7 @@ def _unfold(stack: np.ndarray, mode: int) -> np.ndarray:
 
 def inner(x, y) -> float:
     """Entrywise scalar product of two tensors of identical shape."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
+    x, y = _pair(x, y)
     return float(np.dot(x.ravel(), y.ravel()))
 
 
@@ -138,7 +165,7 @@ def matricize(x, mode: int) -> np.ndarray:
 def tensorize(m, mode: int, shape) -> np.ndarray:
     """Inverse of :func:`matricize` for the given ``mode`` and target ``shape``."""
     m = np.asarray(m, dtype=float)
-    dims = tuple(int(n) for n in shape)
+    dims = _dims(shape)
     ndim = len(dims)
     if ndim < 2:
         raise ValueError("shape: a tensor needs at least 2 modes")
@@ -206,10 +233,11 @@ def outer(vectors) -> np.ndarray:
     return out
 
 
-def _require_cubic(x: np.ndarray) -> None:
-    _check_shape(x.shape)
+def _require_cubic(x) -> np.ndarray:
+    x = _tensor(x)
     if len(set(x.shape)) != 1:
         raise ValueError(f"shape: requires a cubic tensor, got {x.shape}")
+    return x
 
 
 def is_symmetric(x, tol: float = 1e-10) -> bool:
@@ -223,8 +251,7 @@ def is_symmetric(x, tol: float = 1e-10) -> bool:
     the zero tensor is symmetric. ``tol`` must be finite and nonnegative.
     """
     _check_tol(tol)
-    x = np.asarray(x, dtype=float)
-    _require_cubic(x)
+    x = _require_cubic(x)
     bound = tol * frobenius(x)
     return all(
         np.max(np.abs(x - np.swapaxes(x, k, k + 1))) <= bound
@@ -238,8 +265,7 @@ def symmetrize(x) -> np.ndarray:
     The D! transposes are summed in ``itertools.permutations`` order, then
     divided by D!.
     """
-    x = np.asarray(x, dtype=float)
-    _require_cubic(x)
+    x = _require_cubic(x)
     acc = np.zeros_like(x)
     for perm in permutations(range(x.ndim)):
         acc += np.transpose(x, perm)

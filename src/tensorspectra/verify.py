@@ -35,7 +35,7 @@ from .subdiff import (
     schatten_subgradient,
     subgradient_inequality_test,
 )
-from .tensor import frobenius, matricize, multi_mode_mul, symmetrize, tensorize
+from .tensor import _seed, frobenius, matricize, multi_mode_mul, symmetrize, tensorize
 from .vonneumann import _equality_structure, vn_report
 
 __all__ = ["SuiteResult", "SUITES", "run_all", "grid_best_pairing"]
@@ -552,6 +552,7 @@ SUITES = {
 
 def run_all(seed: int = 0, suites=None) -> dict:
     """Run the selected property suites and collect a deterministic report."""
+    _seed(seed)
     names = list(SUITES) if suites is None else list(suites)
     results = []
     for name in names:

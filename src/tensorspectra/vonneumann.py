@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import is_orthogonal
-from .spectral import mode_spectrum
-from .tensor import _check_shape, _check_tol, frobenius, inner, multi_mode_mul
+from .spectral import _spectra
+from .tensor import _check_tol, _pair, _tensor, frobenius, inner, multi_mode_mul
 
 __all__ = [
     "VnReport",
@@ -86,11 +86,12 @@ def _binary_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
 def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     """Inner product of a pair against its per-mode spectral bounds.
 
-    The pair is decomposed as x' = 2^-a x and y' = 2^-b y. An operand whose
-    largest magnitude lies in [2^-257, 2^256) keeps exponent 0 and is
-    decomposed itself, through the spectra entries the norms read; otherwise
-    its exponent is ``frexp``'s of that magnitude, so the bounds and the
-    inner product stay within binary64 at either end of its range.
+    The pair is decomposed as x' = 2^-a x and y' = 2^-b y, each read once
+    from the spectra entries the norms read; bound d pairs the first n_d
+    values of row d of each. An operand whose largest magnitude lies in
+    [2^-257, 2^256) keeps exponent 0; otherwise its exponent is ``frexp``'s
+    of that magnitude, so the bounds and the inner product stay within
+    binary64 at either end of its range.
     ``equality`` is true when every gap of (x', y') is at most
     tol * ||x'|| ||y'||. The test is relative, with no absolute floor: the
     verdict does not depend on the scale of x or of y (up to rounding;
@@ -101,17 +102,14 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     finite and nonnegative.
     """
     _check_tol(tol)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape: operands differ, {x.shape} vs {y.shape}")
-    _check_shape(x.shape)
+    x, y = _pair(x, y)
+    _tensor(x)
     (x, a), (y, b) = _binary_scaled(x), _binary_scaled(y)
-    spectra_x, spectra_y = (
-        [mode_spectrum(t, d) for d in range(1, t.ndim + 1)] for t in (x, y)
-    )
+    sx, sy = _spectra(x), _spectra(y)
     value = inner(x, y)
-    bounds = np.array([float(np.dot(s, t)) for s, t in zip(spectra_x, spectra_y)])
+    bounds = np.array(
+        [float(np.dot(sx[d, :n], sy[d, :n])) for d, n in enumerate(x.shape)]
+    )
     gaps = bounds - value
     with np.errstate(over="ignore"):
         return VnReport(
@@ -125,10 +123,7 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
 def _finite_cores(cx, cy) -> tuple[np.ndarray, np.ndarray]:
     # a non-finite entry makes its core's threshold NaN or inf, below which
     # no entry lies, so the core would read as zero
-    cx = np.asarray(cx, dtype=float)
-    cy = np.asarray(cy, dtype=float)
-    if cx.shape != cy.shape:
-        raise ValueError(f"shape: operands differ, {cx.shape} vs {cy.shape}")
+    cx, cy = _pair(cx, cy)
     for name, core in (("cx", cx), ("cy", cy)):
         if not np.isfinite(core).all():
             raise ValueError(f"{name}: entries must be finite")
@@ -263,8 +258,7 @@ def _equality_structure(x, y, shared_factors, tol: float, report) -> EqualityStr
     # one rotation, partition and proportionality pass; verified also needs
     # the equality of the caller's vn_report(x, y, tol), which the blocks
     # alone do not imply
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _pair(x, y)
     frames = [np.asarray(w, dtype=float) for w in shared_factors]
     if len(frames) != x.ndim:
         raise ValueError(

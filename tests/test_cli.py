@@ -539,3 +539,20 @@ def test_each_rejected_flag_prints_its_error(tmp_path, argv, message):
     code, payload = invoke(argv)
     assert code == 1
     assert payload == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "gaussian", "--shape", "3x3x3", "--seed", "-2"],
+        ["gen", "--kind", "odeco", "--shape", "3x3x3", "--seed", "-2"],
+        ["gen", "--kind", "symmetric-odeco", "--shape", "3x3x3", "--seed", "-2"],
+        ["verify", "--suite", "adjointness", "--seed", "-2"],
+    ],
+    ids=["gaussian", "odeco", "symmetric-odeco", "verify"],
+)
+def test_a_negative_seed_names_its_field(argv):
+    # numpy's own error, "expected non-negative integer", named no field
+    code, payload = invoke(argv)
+    assert code == 1
+    assert payload == {"error": "seed: expected a non-negative integer, got -2"}

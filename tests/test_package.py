@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import tensorspectra
-from tensorspectra import linalg, odeco, spectral, subdiff, tensor, vonneumann
+from tensorspectra import linalg, odeco, spectral, subdiff, tensor, verify, vonneumann
 
 MODULES = (tensor, linalg, spectral, odeco, vonneumann, subdiff)
 
@@ -73,6 +74,63 @@ def test_every_public_tolerance_is_finite_and_nonnegative(name, tol):
     # holds for all
     with pytest.raises(ValueError, match=r"^tol: tolerance must be a finite real >= 0, got "):
         _TOLERANT[name](tol)
+
+
+_ONES = np.ones((3, 3, 3))
+_PARAMS = spectral.SchattenParams(2, 2, 1)
+# (argument, call) for each integer argument; numpy's TypeError named no
+# field, and a bool or a fraction passed silently, truncated or as mode 1
+_INTEGRAL = {
+    "matricize": ("mode", lambda v: tensor.matricize(_ONES, v)),
+    "mode_spectrum": ("mode", lambda v: spectral.mode_spectrum(_ONES, v)),
+    "as_tensor": ("shape", lambda v: tensor.as_tensor(np.ones(6), (3, v))),
+    "tensorize": ("shape", lambda v: tensor.tensorize(np.ones((3, 3)), 1, (3, v))),
+    "random_odeco shape": ("shape", lambda v: odeco.random_odeco((v, 3, 3), 2, 0)),
+    "random_odeco rank": ("rank", lambda v: odeco.random_odeco((3, 3, 3), v, 0)),
+    "random_symmetric_odeco ndim": (
+        "ndim",
+        lambda v: odeco.random_symmetric_odeco(3, v, 2, 0),
+    ),
+    "random_symmetric_odeco rank": (
+        "rank",
+        lambda v: odeco.random_symmetric_odeco(3, 3, v, 0),
+    ),
+    "random_orthogonal": ("n", lambda v: linalg.random_orthogonal(v, 0)),
+    "nuclear": ("ndim", lambda v: spectral.SchattenParams.nuclear(v)),
+    "trials": (
+        "trials",
+        lambda v: subdiff.subgradient_inequality_test(_ONES, _ONES, _PARAMS, trials=v),
+    ),
+    "budget": (
+        "budget",
+        lambda v: subdiff.estimate_tensor_conjugate(_ONES, _PARAMS, budget=v),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+@pytest.mark.parametrize("name", sorted(_INTEGRAL))
+def test_every_integer_argument_is_an_integer(name, value):
+    argument, call = _INTEGRAL[name]
+    with pytest.raises(ValueError, match=f"^{argument}: "):
+        call(value)
+
+
+_SEEDED = {
+    "random_odeco": lambda seed: odeco.random_odeco((3, 3, 3), 2, seed),
+    "random_symmetric_odeco": lambda seed: odeco.random_symmetric_odeco(3, 3, 2, seed),
+    "random_orthogonal": lambda seed: linalg.random_orthogonal(3, seed),
+    "run_all": lambda seed: verify.run_all(seed, suites=["adjointness"]),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_every_seed_is_a_non_negative_integer(name, seed):
+    # numpy's own error, "expected non-negative integer", named no field
+    message = f"seed: expected a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SEEDED[name](seed)
 
 
 def test_each_subgradient_test_logs_the_member_at_its_minimum(caplog):

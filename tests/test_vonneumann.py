@@ -12,6 +12,7 @@ from tensorspectra import (
     find_block_partition,
     frobenius,
     make_odeco,
+    mode_spectrum,
     multi_mode_mul,
     random_odeco,
     random_orthogonal,
@@ -79,6 +80,35 @@ class TestReport:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             vn_report(np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 4, 5)])
+    @pytest.mark.parametrize("exponent", [300, -300])
+    def test_each_operand_is_read_once(self, shape, exponent, monkeypatch):
+        # one spectra lookup per operand, whatever D; bound d pairs row d of
+        # the binary-scaled copies' spectra, scaled back
+        from tensorspectra import spectral, vonneumann
+        from tensorspectra.vonneumann import _binary_scaled
+
+        rng = np.random.default_rng(49)
+        x, y = (np.ldexp(rng.standard_normal(shape), exponent) for _ in range(2))
+        (xs, a), (ys, b) = _binary_scaled(x), _binary_scaled(y)
+        assert a != 0 and b != 0
+        bounds = [
+            float(np.dot(mode_spectrum(xs, d), mode_spectrum(ys, d)))
+            for d in range(1, len(shape) + 1)
+        ]
+        lookups = []
+        original = spectral._spectra
+
+        def counted(t):
+            lookups.append(t.shape)
+            return original(t)
+
+        monkeypatch.setattr(spectral, "_spectra", counted)
+        monkeypatch.setattr(vonneumann, "_spectra", counted)
+        report = vn_report(x, y)
+        assert lookups == [shape, shape]
+        assert report.per_mode_bound.tobytes() == np.ldexp(bounds, a + b).tobytes()
 
 
 class TestBlockPartition:
