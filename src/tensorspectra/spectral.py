@@ -68,18 +68,22 @@ class SchattenParams:
         return cls(p=1.0, q=1.0, lam=1.0 / ndim)
 
 
-def _left_svd_operand(unf: np.ndarray) -> np.ndarray:
-    """A matrix with the left singular vectors and values of ``unf``.
+def _left_factor(unf: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Left singular vectors of ``unf``, and its R factor when LAPACK shares it.
 
     A wide unfolding X (m < n columns) factors as X = R^T Q^T with
     R = qr(X^T, mode="r") square and Q orthonormal, so the m-by-m R^T has the
     same left singular pairs as X while its SVD never forms X's n-by-n V^T.
-    Square and tall unfoldings are returned unchanged.
+    Square and tall unfoldings are decomposed as they are. R is returned
+    when X^T has at least int(11 m / 6) rows, where ``dgesdd`` reduces X^T
+    by this same QR first (its crossover MNTHR), so R's singular values are
+    X's bit for bit unless LAPACK rescales one of them.
     """
     m, n = unf.shape
     if n <= m:
-        return unf
-    return np.linalg.qr(unf.T, mode="r").T
+        return svd(unf).u, None
+    r = np.linalg.qr(unf.T, mode="r")
+    return svd(r.T).u, (r if n >= int(11 * m / 6) else None)
 
 
 def hosvd(x) -> Hosvd:
@@ -95,12 +99,25 @@ def hosvd(x) -> Hosvd:
     (the R-SVD of Chan, 1982): the same factor, up to rounding, at the cost
     of the QR rather than of a full SVD whose (prod_{k != d} n_k)^2 V^T is
     discarded.
+
+    A tensor without a spectra entry (see :func:`_spectra`) gets one here.
+    Mode d's values are those of the R factor that LAPACK shares, when x's
+    largest magnitude lies in [2^-257, 2^256) and LAPACK rescales nothing,
+    else X_(d)'s: either way a fresh decomposition's bit for bit. A tensor
+    with an entry computes none.
     """
     x = _tensor(x)
-    factors = tuple(
-        svd(_left_svd_operand(matricize(x, d))).u for d in range(1, x.ndim + 1)
-    )
+    factors, rs = zip(*(_left_factor(matricize(x, d)) for d in range(1, x.ndim + 1)))
     core = multi_mode_mul(x, [u.T for u in factors])
+    # the key is made last, so it adds nothing to the peak of the reduction
+    key, last = (x.shape, x.tobytes()), _last_spectra or ()
+    if _kept(key, last) is None:
+        in_band = abs(_max_exponent(x)) <= _BAND
+        values = np.zeros((x.ndim, max(x.shape)))
+        for d, r in enumerate(rs):
+            vals = singular_values(r if in_band and r is not None else matricize(x, d + 1))
+            values[d, : vals.size] = vals
+        _keep(key, values, last)
     return Hosvd(core=core, factors=factors)
 
 
@@ -136,36 +153,91 @@ def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
 
 
 # up to two ((shape, bytes), spectra) pairs, most recent first, of the last
-# tensors decomposed alone by _spectra; replaced whole by one assignment, so a
+# tensors decomposed alone; _keep replaces it whole by one assignment, so a
 # reader never sees a torn pair
 _last_spectra: tuple | None = None
+
+# the identity band of binary scaling: a largest magnitude whose frexp
+# exponent e has |e| <= _BAND lies in [2^-257, 2^256)
+_BAND = 256
+
+
+def _max_exponent(t: np.ndarray) -> int:
+    # frexp's exponent of max|t|, 0 for a zero or empty tensor; min and max
+    # read t without a copy
+    low, high = float(t.min(initial=0.0)), float(t.max(initial=0.0))
+    return math.frexp(max(-low, high))[1]
+
+
+def _keep(key, spectra: np.ndarray, last: tuple) -> np.ndarray:
+    # the one writer of _last_spectra: (key, spectra), read-only, first and
+    # the front pair of last second; no caller passes last's front key
+    global _last_spectra
+    spectra.flags.writeable = False
+    _last_spectra = ((key, spectra),) + last[:1]
+    return spectra
+
+
+def _scaled_spectra(key, last: tuple) -> np.ndarray | None:
+    # ldexp(σ(t), k) when key's tensor is x = 2^k t, k != 0, for a kept t of
+    # its shape, else None; in the band that is σ(x) bit for bit. The first
+    # entries' frexp parts reject a non-multiple in O(1). Then the smaller
+    # operand's largest magnitude, times 2^|k|, must stay in the band, so
+    # scaling it up is exact and cannot overflow, and the scaled copy, the
+    # one input-sized temporary, must equal the larger's bytes
+    shape, raw = key
+    for (t_shape, t_raw), spectra in last:
+        if t_shape != shape:
+            continue
+        x, t = np.frombuffer(raw), np.frombuffer(t_raw)
+        mantissa, exponent = math.frexp(float(x[0]))
+        t_mantissa, t_exponent = math.frexp(float(t[0]))
+        k = exponent - t_exponent
+        if mantissa != t_mantissa or mantissa == 0.0 or k == 0:
+            continue
+        small, large = (t, x) if k > 0 else (x, t)
+        e = _max_exponent(small)
+        if -_BAND <= e and e + abs(k) <= _BAND and np.array_equal(
+            np.ldexp(small, abs(k)).view(np.int64), large.view(np.int64)
+        ):
+            return np.ldexp(spectra, k)
+    return None
+
+
+def _kept(key, last: tuple) -> np.ndarray | None:
+    # the spectra of key's tensor from the pairs of last, moved or stored to
+    # the front, or None when neither its bytes nor a power-of-two multiple
+    # are kept
+    for i, (pair_key, spectra) in enumerate(last):
+        if pair_key == key:
+            return _keep(key, spectra, last) if i else spectra
+    spectra = _scaled_spectra(key, last)
+    return None if spectra is None else _keep(key, spectra, last)
 
 
 def _spectra(x) -> np.ndarray:
     """Read-only ``(D, max n)`` padded mode spectra of one tensor.
 
     Equal to ``_stacked_spectra(x[None])[0]``. The last two tensors
-    decomposed here are kept with their spectra, keyed on shape and bytes: a
-    call on the same bits returns the stored array and moves its pair to the
-    front, so consecutive requests on one tensor (its modes, a norm over a
-    parameter grid, spectra then a norm, then its dual ratio) decompose it
-    once, and so does a point whose candidates come between its requests.
-    Bytes, not float equality, decide a hit, so -0.0 and 0.0 differ and a
-    tensor changed in place misses. Only stacks and :func:`hosvd` decompose
-    a tensor elsewhere.
+    decomposed here or by :func:`hosvd` are kept with their spectra, keyed
+    on shape and bytes: a call on the same bits returns the stored array and
+    moves its pair to the front, so consecutive requests on one tensor (its
+    modes, a norm over a parameter grid, spectra then a norm, then its dual
+    ratio) decompose it once, and so does a point whose candidates come
+    between its requests. Bytes, not float equality, decide a hit, so -0.0
+    and 0.0 differ and a tensor changed in place misses.
+
+    A miss on x = 2^k t, k != 0, for a kept t of the same shape reads
+    ``np.ldexp`` of t's spectra, stored under x's bytes, when both largest
+    magnitudes lie in [2^-257, 2^256), the band that ``vn_report``'s binary
+    scaling leaves alone: there LAPACK rescales neither, and the two agree
+    bit for bit. Only stacks decompose a tensor elsewhere.
     """
-    global _last_spectra
     x = _tensor(x)
-    key = (x.shape, x.tobytes())
-    last = _last_spectra or ()
-    for i, pair in enumerate(last):
-        if pair[0] == key:
-            if i:
-                _last_spectra = (pair, last[0])
-            return pair[1]
-    spectra = _stacked_spectra(x[None])[0]
-    spectra.flags.writeable = False
-    _last_spectra = ((key, spectra),) + last[:1]
+    key, last = (x.shape, x.tobytes()), _last_spectra or ()
+    spectra = _kept(key, last)
+    if spectra is None:
+        spectra = _keep(key, _stacked_spectra(x[None])[0], last)
     return spectra
 
 

@@ -324,7 +324,9 @@ def check_membership(
     N(x), the trace inequalities and y's dual ratio are computed in that
     order, so a cold call decomposes x once and y once. The spectra memo
     keeps two tensors, so x's spectra outlive one candidate: a sweep of one
-    point's candidates decomposes the point once.
+    point's candidates decomposes the point once. A candidate 2^k g after g
+    (or g after it) reads the kept spectra scaled, in the band where that
+    is exact, so g, 2g and N(g) decompose g once.
     """
     x, y = _pair(x, y)
     # x first, then y: the two-entry spectra memo decomposes each only once

@@ -554,11 +554,11 @@ def run_all(seed: int = 0, suites=None) -> dict:
     """Run the selected property suites and collect a deterministic report."""
     _seed(seed)
     names = list(SUITES) if suites is None else list(suites)
-    results = []
+    # every name is checked before any suite runs
     for name in names:
         if name not in SUITES:
             raise ValueError(f"suite: unknown name {name!r}")
-        results.append(SUITES[name](seed))
+    results = [SUITES[name](seed) for name in names]
     return {
         "seed": seed,
         "suites": [r.as_dict() for r in results],

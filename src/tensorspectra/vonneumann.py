@@ -10,13 +10,12 @@ candidate frames.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import is_orthogonal
-from .spectral import _spectra
+from .spectral import _BAND, _max_exponent, _spectra
 from .tensor import _check_tol, _pair, _tensor, frobenius, inner, multi_mode_mul
 
 __all__ = [
@@ -77,8 +76,8 @@ def _binary_scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
     # 256 returns t itself: 2^-257 <= max|t| < 2^256 keeps the products and
     # squared norms of two operands of n entries below n 2^512 and their
     # tolerance scale ||x|| ||y|| >= 2^-514 far above the subnormals
-    e = math.frexp(float(np.max(np.abs(t), initial=0.0)))[1]
-    if abs(e) <= 256:
+    e = _max_exponent(t)
+    if abs(e) <= _BAND:
         return t, 0
     return np.ldexp(t, -e), e
 

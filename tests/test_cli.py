@@ -384,6 +384,19 @@ def test_verify_subset(tmp_path):
     assert code == 1 and "suite" in payload["error"]
 
 
+def test_verify_checks_every_suite_name_before_running_one(monkeypatch):
+    from tensorspectra import verify
+
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "subgradients", ran.append)
+    with pytest.raises(ValueError, match="^suite: unknown name 'bogus'$"):
+        verify.run_all(0, ["subgradients", "bogus"])
+    assert ran == []
+    code, payload = invoke(["verify", "--suite", "subgradients", "--suite", "bogus"])
+    assert code == 1 and payload == {"error": "suite: unknown name 'bogus'"}
+    assert ran == []
+
+
 def test_module_entry_point(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tensorspectra import (
@@ -31,6 +32,7 @@ from tensorspectra import (
     to_dense,
     vn_report,
 )
+from tensorspectra.tensor import multi_mode_mul
 
 
 def diag_tensor(shape, values):
@@ -555,11 +557,13 @@ class TestSpectraMemo:
         assert _spectra(x).tobytes() == first["x"].tobytes() == expected
         assert len(calls) == 4 * x.ndim
 
-    def test_a_certify_sweep_decomposes_its_point_once(self, monkeypatch):
+    def test_a_certify_sweep_decomposes_its_point_and_each_candidate_once(
+        self, monkeypatch
+    ):
         # one odeco point and its candidates g and 2g over the grid, as the
         # certify-small benchmark sweeps them: x's entry survives each
-        # candidate, so x is decomposed once; g is decomposed again for
-        # N(g) in the subgradient test, after 2g took its entry
+        # candidate, so x is decomposed once; 2g reads g's entry scaled, and
+        # N(g) in the subgradient test reads 2g's, so g is decomposed once
         from tensorspectra import schatten_subgradient, spectral
         from tensorspectra.verify import _param_grid
 
@@ -578,9 +582,201 @@ class TestSpectraMemo:
             assert check_membership(x, g, params).accepted
             assert not check_membership(x, 2.0 * g, params).accepted
             assert subgradient_inequality_test(x, g, params, trials=200, seed=0) >= -1e-9
-        assert calls == [(1, 3, 9)] * (x.ndim * (1 + 3 * len(grid)))
+        assert calls == [(1, 3, 9)] * (x.ndim * (1 + len(grid)))
         of_x = {matricize(x, d).tobytes() for d in range(1, x.ndim + 1)}
         assert sum(m in of_x for m in unfoldings) == x.ndim
+
+
+
+class TestScaleShare:
+    """A power-of-two multiple of a kept tensor reads its entry scaled."""
+
+    fresh = staticmethod(TestSpectraMemo.fresh)
+
+    @staticmethod
+    def spied():
+        # spectral's binding of singular_values, counted, and empty entries
+        from tensorspectra import spectral
+
+        return (
+            mock.patch.object(spectral, "singular_values", wraps=spectral.singular_values),
+            mock.patch.object(spectral, "_last_spectra", None),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=2, max_size=4).map(tuple),
+        seed=st.integers(0, 2**32 - 1),
+        sparse=st.booleans(),
+        exponent=st.integers(-256, 256),
+    )
+    def test_a_multiple_in_the_band_decomposes_nothing(self, shape, seed, sparse, exponent):
+        # x = 2^k t with max|x| = 2^(exponent - 1) m, m in [1, 2), so both
+        # largest magnitudes lie in the band [2^-257, 2^256) and every entry
+        # of x is exact
+        from tensorspectra.spectral import _spectra
+
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal(shape)
+        if sparse:
+            t.ravel()[1:][rng.random(t.size - 1) < 0.5] = 0.0
+        k = exponent - math.frexp(float(np.max(np.abs(t))))[1]
+        assume(k != 0)
+        x = np.ldexp(t, k)
+        spy, empty = self.spied()
+        with spy as calls, empty:
+            _spectra(t)
+            before = calls.call_count
+            shared = _spectra(x)
+            assert calls.call_count == before
+            assert _spectra(x) is shared and not shared.flags.writeable
+        assert shared.tobytes() == self.fresh(x).tobytes()
+
+    def kept_then(self, t, x) -> tuple[int, np.ndarray]:
+        # singular_values calls of _spectra(x) after t's, and x's spectra
+        from tensorspectra.spectral import _spectra
+
+        spy, empty = self.spied()
+        with spy as calls, empty:
+            _spectra(t)
+            before = calls.call_count
+            spectra = _spectra(x)
+            return calls.call_count - before, spectra
+
+    def test_the_first_entry_alone_decides_nothing(self):
+        t = np.random.default_rng(60).standard_normal((3, 4, 5))
+        x = np.ldexp(t, 3)
+        x[2, 3, 4] += 1.0
+        calls, spectra = self.kept_then(t, x)
+        assert calls == x.ndim
+        assert spectra.tobytes() == self.fresh(x).tobytes()
+
+    @pytest.mark.parametrize("base, k", [(0, 300), (0, -300), (-300, 300), (300, -1)])
+    def test_an_operand_outside_the_band_decomposes(self, base, k):
+        # base shifts t, k then x: one of the two largest magnitudes lies
+        # outside [2^-257, 2^256), where LAPACK rescales its input
+        t = np.ldexp(np.random.default_rng(61).standard_normal((3, 3, 3)), base)
+        x = np.ldexp(t, k)
+        calls, spectra = self.kept_then(t, x)
+        assert calls == x.ndim
+        assert spectra.tobytes() == self.fresh(x).tobytes()
+
+    def test_signed_zeros_differ(self):
+        t = np.random.default_rng(62).standard_normal((3, 3, 3))
+        t[1, 2, 0] = 0.0
+        x = np.ldexp(t, -2)
+        x[1, 2, 0] = -0.0
+        calls, spectra = self.kept_then(t, x)
+        assert calls == x.ndim
+        assert spectra.tobytes() == self.fresh(x).tobytes()
+
+    def test_a_zero_first_entry_decomposes(self):
+        t = np.random.default_rng(63).standard_normal((2, 3, 4))
+        t[0, 0, 0] = 0.0
+        calls, _ = self.kept_then(t, 2.0 * t)
+        assert calls == t.ndim
+
+    def test_a_multiple_changed_in_place_decomposes(self):
+        from tensorspectra.spectral import _spectra
+
+        t = np.random.default_rng(64).standard_normal((3, 4, 5))
+        x = 4.0 * t
+        spy, empty = self.spied()
+        with spy as calls, empty:
+            _spectra(t)
+            assert _spectra(x).tobytes() == np.ldexp(_spectra(t), 2).tobytes()
+            assert calls.call_count == x.ndim
+            x[1, 1, 1] += 1.0
+            spectra = _spectra(x)
+            assert calls.call_count == 2 * x.ndim
+        assert spectra.tobytes() == self.fresh(x).tobytes()
+
+
+# spectra-large's five shapes, cubes, one mode below dgesdd's QR crossover
+# ((48, 6, 6): 36 < int(11 * 48 / 6) rows), and matrices below it
+HOSVD_SHAPES = [
+    (32, 32, 32),
+    (48, 48, 48),
+    (64, 32, 16),
+    (48, 6, 6),
+    (12, 12, 12, 12),
+    (8, 8, 8),
+    (16, 16, 16),
+    (24, 24, 24),
+    (3, 4),
+    (6, 8),
+]
+
+
+class TestHosvdEntry:
+    """``hosvd`` stores the spectra entry of the tensor it reduces."""
+
+    fresh = staticmethod(TestSpectraMemo.fresh)
+    counted_calls = staticmethod(TestSpectraMemo.counted_calls)
+
+    @staticmethod
+    def unfilled_hosvd(x) -> tuple:
+        # the factors and core of a hosvd that stores no values: the left
+        # singular vectors of each tall or square unfolding, or of R^T with
+        # R = qr(X_(d)^T, mode="r") for a wide one
+        factors = []
+        for d in range(1, x.ndim + 1):
+            unf = matricize(x, d)
+            if unf.shape[0] < unf.shape[1]:
+                unf = np.linalg.qr(unf.T, mode="r").T
+            factors.append(svd(unf).u)
+        return tuple(factors), multi_mode_mul(x, [u.T for u in factors])
+
+    @pytest.mark.parametrize("shape", HOSVD_SHAPES, ids=str)
+    def test_norms_after_hosvd_decompose_nothing(self, shape, monkeypatch):
+        from tensorspectra import spectral
+
+        x = np.random.default_rng(65).standard_normal(shape)
+        params = SchattenParams(3.0, 2.0, 1.0)
+        calls = self.counted_calls(monkeypatch)
+        h = hosvd(x)
+        assert len(calls) == x.ndim
+        spectra = all_mode_spectra(x)
+        norm = schatten_norm(x, params)
+        assert len(calls) == x.ndim
+        expected = self.fresh(x)
+        assert [s.tobytes() for s in spectra] == [
+            row[:n].tobytes() for row, n in zip(expected, shape)
+        ]
+        monkeypatch.setattr(spectral, "_last_spectra", None)
+        assert norm == schatten_norm(x, params)
+        factors, core = self.unfilled_hosvd(x)
+        assert [u.tobytes() for u in h.factors] == [u.tobytes() for u in factors]
+        assert h.core.tobytes() == core.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (2, 3, 4, 5), (6, 8)], ids=str)
+    def test_hosvd_of_a_kept_tensor_computes_no_values(self, shape, monkeypatch):
+        from tensorspectra.spectral import _spectra
+
+        x = np.random.default_rng(66).standard_normal(shape)
+        calls = self.counted_calls(monkeypatch)
+        kept = _spectra(x)
+        warm = hosvd(x)
+        scaled = hosvd(0.5 * x)
+        assert len(calls) == x.ndim
+        assert _spectra(x) is kept
+        factors, core = self.unfilled_hosvd(x)
+        assert [u.tobytes() for u in warm.factors] == [u.tobytes() for u in factors]
+        assert warm.core.tobytes() == core.tobytes()
+        assert [u.tobytes() for u in scaled.factors] == [
+            u.tobytes() for u in self.unfilled_hosvd(0.5 * x)[0]
+        ]
+
+    def test_an_operand_outside_the_band_reads_its_unfoldings(self, monkeypatch):
+        # LAPACK rescales X_(d)^T and R by different factors there, so R's
+        # values are not a fresh decomposition's
+        x = np.ldexp(np.random.default_rng(67).standard_normal((16, 16, 16)), -600)
+        calls = self.counted_calls(monkeypatch)
+        hosvd(x)
+        assert calls == [(16, 256)] * 3
+        assert [s.tobytes() for s in all_mode_spectra(x)] == [
+            row.tobytes() for row in self.fresh(x)
+        ]
 
 
 _DOMAIN_PARAMS = SchattenParams(2.0, 2.0, 1.0)
