@@ -117,26 +117,25 @@ def is_orthogonal(mat, tol: float = 1e-12) -> bool:
     return float(np.linalg.norm(m @ m.T - np.eye(m.shape[0]))) <= tol
 
 
-def _random_orthogonals(n: int, seeds) -> np.ndarray:
-    # one Haar draw per seed, stacked (len(seeds), n, n): a batched QR of the
-    # stacked Gaussian samples with the signs of diag(R) folded into Q
-    n = _integer(n, "n: matrix size must be positive")
-    q, r = np.linalg.qr(
-        np.stack([np.random.default_rng(_seed(s)).standard_normal((n, n)) for s in seeds])
-    )
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * np.where(d == 0.0, 1.0, np.sign(d))[:, None, :]
-
-
 def random_orthogonal(n: int, seed: int) -> np.ndarray:
     """Seeded rotation-invariant random orthogonal matrix.
 
     QR of a Gaussian sample with the sign of diag(R) folded into Q, which
-    makes the draw both Haar-distributed and deterministic per seed. It is
-    one slice of the batched sampler that draws many seeds with one QR, and
-    equals that slice bit for bit.
+    makes the draw both Haar-distributed and deterministic per seed.
     """
-    return _random_orthogonals(n, [seed])[0]
+    n = _integer(n, "n: matrix size must be positive")
+    q, r = np.linalg.qr(np.random.default_rng(_seed(seed)).standard_normal((n, n)))
+    d = np.diag(r)
+    return q * np.where(d == 0.0, 1.0, np.sign(d))
+
+
+def _check_orthonormal(u: np.ndarray, name: str, tol: float) -> None:
+    # the columns' Gram residual against the identity; a NaN fails too
+    gram_err = float(np.linalg.norm(u.T @ u - np.eye(u.shape[1])))
+    if not gram_err <= tol:
+        raise ValueError(
+            f"{name} columns are not orthonormal (gram residual {gram_err:.3e})"
+        )
 
 
 def complete_orthonormal(u, tol: float = 1e-10) -> np.ndarray:
@@ -151,12 +150,8 @@ def complete_orthonormal(u, tol: float = 1e-10) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] < u.shape[1]:
         raise ValueError("matrix: expected n-by-r with r <= n")
+    _check_orthonormal(u, "matrix:", tol)
     n, r = u.shape
-    gram_err = float(np.linalg.norm(u.T @ u - np.eye(r)))
-    if not gram_err <= tol:  # a NaN residual fails too
-        raise ValueError(
-            f"matrix: columns are not orthonormal (gram residual {gram_err:.3e})"
-        )
     if r == n:
         return u.copy()
     q = np.linalg.qr(u, mode="complete")[0]

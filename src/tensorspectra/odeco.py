@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _random_orthogonals, complete_orthonormal, random_orthogonal
+from .linalg import _check_orthonormal, complete_orthonormal, random_orthogonal
 from .spectral import Hosvd
 from .tensor import _dims, _integer, _seed
 
@@ -81,12 +81,7 @@ def make_odeco(alphas, factors, shape=None) -> OdecoRep:
             f"rank: {r} exceeds the smallest mode size {min(dims)}"
         )
     for d, f in enumerate(mats, start=1):
-        gram_err = float(np.linalg.norm(f.T @ f - np.eye(r)))
-        if not gram_err <= _ORTHO_TOL:  # a NaN residual fails too
-            raise ValueError(
-                f"factors: mode {d} columns are not orthonormal "
-                f"(gram residual {gram_err:.3e})"
-            )
+        _check_orthonormal(f, f"factors: mode {d}", _ORTHO_TOL)
 
     order = np.argsort(-alphas, kind="stable")
     alphas = alphas[order]
@@ -124,8 +119,7 @@ def random_odeco(shape, r: int, seed: int) -> OdecoRep:
     """Seeded random odeco representation.
 
     Weights are sorted absolute Gaussians offset by 0.1; factor columns are
-    the first ``r`` columns of independent seeded random orthogonal matrices,
-    drawn with one batched QR per distinct mode size.
+    the first ``r`` columns of independent seeded random orthogonal matrices.
     """
     dims = _dims(shape)
     if len(dims) < 2:
@@ -134,12 +128,7 @@ def random_odeco(shape, r: int, seed: int) -> OdecoRep:
     rng = np.random.default_rng(_seed(seed))
     alphas = np.sort(np.abs(rng.standard_normal(r)))[::-1] + 0.1
     subs = [int(rng.integers(0, 2**63 - 1)) for _ in dims]
-    # one batched draw per distinct mode size, in mode order within each size
-    frames = {
-        n: iter(_random_orthogonals(n, [s for m, s in zip(dims, subs) if m == n]))
-        for n in dict.fromkeys(dims)
-    }
-    factors = [next(frames[n])[:, :r] for n in dims]
+    factors = [random_orthogonal(n, s)[:, :r] for n, s in zip(dims, subs)]
     return make_odeco(alphas, factors, dims)
 
 

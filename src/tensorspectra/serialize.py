@@ -100,9 +100,10 @@ def _json_int(text: str):
 
 
 def _loads_json(text: str):
+    # also nesting too deep to parse and integers past the digit limit
     try:
         return json.loads(text, parse_int=_json_int)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"document: invalid JSON ({exc})") from exc
 
 

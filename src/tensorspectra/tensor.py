@@ -8,8 +8,7 @@ Modes are numbered 1..D throughout the public API. Data is stored row-major
 from __future__ import annotations
 
 import numbers
-from itertools import permutations
-from math import factorial, inf, isfinite, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -262,11 +261,10 @@ def is_symmetric(x, tol: float = 1e-10) -> bool:
 def symmetrize(x) -> np.ndarray:
     """Average of ``x`` over all permutations of its indices (idempotent).
 
-    The D! transposes are summed in ``itertools.permutations`` order, then
-    divided by D!.
+    Uses Sym_k = (1/k) sum_{j<=k} (j k) o Sym_{k-1}, with (k k) the identity:
+    D(D-1)/2 transposes in all, where the plain average takes D!.
     """
     x = _require_cubic(x)
-    acc = np.zeros_like(x)
-    for perm in permutations(range(x.ndim)):
-        acc += np.transpose(x, perm)
-    return acc / factorial(x.ndim)
+    for k in range(1, x.ndim):
+        x = (x + sum(np.swapaxes(x, j, k) for j in range(k))) / (k + 1)
+    return x

@@ -374,6 +374,13 @@ def test_domain_errors_exit_one(tmp_path):
     assert code == 1 and "data" in payload["error"]
 
 
+def test_a_document_too_deep_to_parse_is_a_domain_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, payload = invoke(["norm", "--in", str(deep)])
+    assert code == 1 and payload["error"].startswith("document: invalid JSON")
+
+
 def test_verify_subset(tmp_path):
     code, payload = invoke(["verify", "--seed", "0", "--suite", "adjointness"])
     assert code == 0

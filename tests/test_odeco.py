@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -133,6 +134,24 @@ def test_random_odeco_equals_per_mode_draws(dims):
             d = np.diag(rr)
             haar = q * np.where(d == 0.0, 1.0, np.sign(d))
             assert np.array_equal(factor, haar[:, :r])
+
+
+# sha256 of alphas then factors, shapes with repeated mode sizes out of order
+ODECO_DRAW_PINS = {
+    ((3, 5, 3), 3, 0): "e623defe0e32193877a96f41055b58e5ddf4823d4baec352937ce85b339b6cd7",
+    ((3, 5, 3), 3, 7): "c3f621b5628390ed5dc4eba634955d155321fb1621ba84e5ebdcac5c9d7ff2e3",
+    ((4, 2, 4, 2), 2, 1): "8ee503e23bf2bed2dabf6a42fa03956c8450bb38e8284a5aec062027e537666f",
+    ((4, 2, 4, 2), 2, 7): "68a798687e9fa05929aed14fa4e6fe10fb5865b5aa0c9ac027bd988604c21440",
+    ((24, 24, 24), 5, 0): "0c71fbd7e5400659e40a1a030a9d053e7a09198624ab79980c1cfbd39533b055",
+    ((24, 24, 24), 5, 1): "202250ecf28471ec944ea623c9ffa4eaa23f9bfa86dca97069c7abc19b1f4f64",
+}
+
+
+@pytest.mark.parametrize("args", ODECO_DRAW_PINS, ids=str)
+def test_random_odeco_draws_keep_their_bytes(args):
+    rep = random_odeco(*args)
+    blob = rep.alphas.tobytes() + b"".join(f.tobytes() for f in rep.factors)
+    assert hashlib.sha256(blob).hexdigest() == ODECO_DRAW_PINS[args]
 
 
 def test_random_symmetric_odeco():

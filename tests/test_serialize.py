@@ -65,6 +65,20 @@ def test_tensor_errors_name_fields():
         loads_tensor('{"shape": [1, 2], "data": [1.0, 1%s]}' % ("0" * 400))
 
 
+# too deep for the parser, and past the interpreter's integer digit limit
+MALFORMED = {
+    "deep": "[" * 200_000 + "]" * 200_000,
+    "long-int": '{"shape": [1, 1], "data": [1%s]}' % ("0" * 4999),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_get_the_document_error(text):
+    with pytest.raises(ValueError) as caught:
+        loads_tensor(text)
+    assert str(caught.value).startswith("document: invalid JSON")
+
+
 @pytest.mark.parametrize(
     "alphas", ['"a"', "true", "1" + "0" * 400], ids=["string", "bool", "huge-int"]
 )

@@ -294,14 +294,39 @@ class TestSymmetry:
         assert not is_symmetric(x)
         assert is_symmetric(symmetrize(x))
 
-    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (4, 4, 4), (2, 2, 2, 2)])
-    def test_symmetrize_sums_the_permutations_in_itertools_order(self, dims):
+    @pytest.mark.parametrize(
+        "dims", [(3, 3), (2, 2, 2), (4, 4, 4), (2, 2, 2, 2), (3,) * 5, (2,) * 6]
+    )
+    def test_symmetrize_is_the_permutation_mean(self, dims):
+        # reference: the D! transposes in itertools order, each entry summed
+        # exactly rounded by math.fsum
+        ndim = len(dims)
         for x in np.random.default_rng(13).standard_normal((5,) + dims):
-            loop = np.zeros(dims)
-            for perm in itertools.permutations(range(len(dims))):
-                loop += np.transpose(x, perm)
-            loop /= math.factorial(len(dims))
-            assert np.array_equal(symmetrize(x), loop)
+            perms = [np.transpose(x, p) for p in itertools.permutations(range(ndim))]
+            sums = [math.fsum(v) for v in np.stack(perms).reshape(len(perms), -1).T]
+            mean = np.reshape(sums, dims) / math.factorial(ndim)
+            bound = ndim**2 * np.finfo(float).eps * np.max(np.abs(x))
+            assert np.max(np.abs(symmetrize(x) - mean)) <= bound
+
+    def test_symmetrize_makes_quadratically_many_transposes(self, monkeypatch):
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("swapaxes", "transpose"):
+            monkeypatch.setattr(np, name, counted(getattr(np, name)))
+        symmetrize(np.random.default_rng(14).standard_normal((2,) * 6))
+        assert 0 < len(calls) <= 6 * 5 // 2
+
+    def test_symmetrized_twelve_mode_tensor_accepted(self):
+        # the D! = 479,001,600 transposes of the plain average do not finish
+        x = np.random.default_rng(15).standard_normal((2,) * 12)
+        assert is_symmetric(symmetrize(x))
 
     def test_small_asymmetric_tensor_rejected(self):
         # the bound was tol * max(1, ||x||_F), which accepted this at 1e-11
