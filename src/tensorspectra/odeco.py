@@ -7,6 +7,7 @@ descending weights and per-mode orthonormal column families.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +95,16 @@ def make_odeco(alphas, factors, shape=None) -> OdecoRep:
     return OdecoRep(shape=dims, alphas=alphas, factors=tuple(mats))
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_subscripts(ndim: int) -> str:
+    # "z,az,bz->ab" at D = 2: the weights, then one factor per mode
+    letters = [chr(ord("a") + d) for d in range(ndim)]
+    return ",".join(["z"] + [f"{c}z" for c in letters]) + "->" + "".join(letters)
+
+
 def to_dense(rep: OdecoRep) -> np.ndarray:
     """Materialize sum_i alpha_i u_i^(1) x ... x u_i^(D) as a dense array."""
-    letters = [chr(ord("a") + d) for d in range(len(rep.shape))]
-    subs = ",".join(["z"] + [f"{c}z" for c in letters]) + "->" + "".join(letters)
-    return np.einsum(subs, rep.alphas, *rep.factors)
+    return np.einsum(_dense_subscripts(len(rep.shape)), rep.alphas, *rep.factors)
 
 
 def odeco_hosvd(rep: OdecoRep) -> Hosvd:

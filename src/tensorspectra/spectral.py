@@ -117,7 +117,7 @@ def hosvd(x) -> Hosvd:
         for d, r in enumerate(rs):
             vals = singular_values(r if in_band and r is not None else matricize(x, d + 1))
             values[d, : vals.size] = vals
-        _keep(key, values, last)
+        _keep((key, values, None), last)
     return Hosvd(core=core, factors=factors)
 
 
@@ -152,9 +152,11 @@ def _stacked_spectra(stack: np.ndarray) -> np.ndarray:
     return out
 
 
-# up to two ((shape, bytes), spectra) pairs, most recent first, of the last
-# tensors decomposed alone; _keep replaces it whole by one assignment, so a
-# reader never sees a torn pair
+# up to two (key, spectra, norm) entries, most recent first, of the last
+# tensors decomposed alone: key is (shape, bytes), and norm is None or the
+# (params, N) of the last norm taken from the entry. _keep replaces the tuple
+# whole by one assignment, so a reader never sees a torn entry, and a norm
+# never meets another tensor's spectra
 _last_spectra: tuple | None = None
 
 # the identity band of binary scaling: a largest magnitude whose frexp
@@ -169,13 +171,14 @@ def _max_exponent(t: np.ndarray) -> int:
     return math.frexp(max(-low, high))[1]
 
 
-def _keep(key, spectra: np.ndarray, last: tuple) -> np.ndarray:
-    # the one writer of _last_spectra: (key, spectra), read-only, first and
-    # the front pair of last second; no caller passes last's front key
+def _keep(entry: tuple, others: tuple) -> np.ndarray:
+    # the one writer of _last_spectra: entry, its spectra read-only, first and
+    # the front entry of others second; no caller passes entry's key in
+    # others' front
     global _last_spectra
-    spectra.flags.writeable = False
-    _last_spectra = ((key, spectra),) + last[:1]
-    return spectra
+    entry[1].flags.writeable = False
+    _last_spectra = (entry,) + others[:1]
+    return entry[1]
 
 
 def _scaled_spectra(key, last: tuple) -> np.ndarray | None:
@@ -186,7 +189,7 @@ def _scaled_spectra(key, last: tuple) -> np.ndarray | None:
     # scaling it up is exact and cannot overflow, and the scaled copy, the
     # one input-sized temporary, must equal the larger's bytes
     shape, raw = key
-    for (t_shape, t_raw), spectra in last:
+    for (t_shape, t_raw), spectra, _ in last:
         if t_shape != shape:
             continue
         x, t = np.frombuffer(raw), np.frombuffer(t_raw)
@@ -205,14 +208,14 @@ def _scaled_spectra(key, last: tuple) -> np.ndarray | None:
 
 
 def _kept(key, last: tuple) -> np.ndarray | None:
-    # the spectra of key's tensor from the pairs of last, moved or stored to
+    # the spectra of key's tensor from the entries of last, moved or stored to
     # the front, or None when neither its bytes nor a power-of-two multiple
-    # are kept
-    for i, (pair_key, spectra) in enumerate(last):
-        if pair_key == key:
-            return _keep(key, spectra, last) if i else spectra
+    # are kept; a scaled entry starts without a norm
+    for i, entry in enumerate(last):
+        if entry[0] == key:
+            return _keep(entry, last) if i else entry[1]
     spectra = _scaled_spectra(key, last)
-    return None if spectra is None else _keep(key, spectra, last)
+    return None if spectra is None else _keep((key, spectra, None), last)
 
 
 def _spectra(x) -> np.ndarray:
@@ -225,7 +228,8 @@ def _spectra(x) -> np.ndarray:
     modes, a norm over a parameter grid, spectra then a norm, then its dual
     ratio) decompose it once, and so does a point whose candidates come
     between its requests. Bytes, not float equality, decide a hit, so -0.0
-    and 0.0 differ and a tensor changed in place misses.
+    and 0.0 differ and a tensor changed in place misses. The norm an entry
+    holds (see :func:`schatten_norm`) moves with it.
 
     A miss on x = 2^k t, k != 0, for a kept t of the same shape reads
     ``np.ldexp`` of t's spectra, stored under x's bytes, when both largest
@@ -237,7 +241,7 @@ def _spectra(x) -> np.ndarray:
     key, last = (x.shape, x.tobytes()), _last_spectra or ()
     spectra = _kept(key, last)
     if spectra is None:
-        spectra = _keep(key, _stacked_spectra(x[None])[0], last)
+        spectra = _keep((key, _stacked_spectra(x[None])[0], None), last)
     return spectra
 
 
@@ -274,6 +278,22 @@ def _schatten_norms(spectra: np.ndarray, params: SchattenParams) -> np.ndarray:
     return params.lam * _mixed_norm(spectra, params.p, params.q)
 
 
+def _norm(spectra: np.ndarray, params: SchattenParams) -> float:
+    # the norm of the tensor whose kept spectra these are: the entry's stored
+    # value when it was taken at params, else computed and stored in its
+    # place, the entry moving to the front; spectra no entry holds any more
+    # are only computed
+    last = _last_spectra or ()
+    for i, (key, kept, norm) in enumerate(last):
+        if kept is spectra:
+            if norm is not None and norm[0] == params:
+                return norm[1]
+            value = float(_schatten_norms(spectra[None], params)[0])
+            _keep((key, kept, (params, value)), last[:i] + last[i + 1 :])
+            return value
+    return float(_schatten_norms(spectra[None], params)[0])
+
+
 def all_mode_spectra(x) -> list[np.ndarray]:
     """Mode spectra for every mode d = 1..D, as views of one padded array.
 
@@ -297,9 +317,13 @@ def schatten_norm(x, params: SchattenParams) -> float:
 
     The spectra come from the one-tensor entries that :func:`mode_spectrum`,
     :func:`all_mode_spectra`, the trace inequalities and the dual ratio
-    share, bit for bit those of a fresh decomposition.
+    share, bit for bit those of a fresh decomposition. Each entry also holds
+    one norm, the last taken from it, with its parameters: a second call on
+    the same bytes at equal ``SchattenParams`` returns that float, which is
+    the computed value bit for bit. Other parameters replace it, so an
+    entry never holds more than one norm.
     """
-    return float(_schatten_norms(_spectra(x)[None], params)[0])
+    return _norm(_spectra(x), params)
 
 
 def nuclear_norm(x) -> float:

@@ -21,14 +21,16 @@ import numpy as np
 from .odeco import OdecoRep, to_dense
 from .spectral import (
     SchattenParams,
+    _max_exponent,
     _mixed_norm,
+    _norm,
     _schatten_norms,
     _spectra,
     hosvd,
     schatten_norm,
 )
 from .tensor import _check_tol, _integer, _pair, _tensor, frobenius, inner, multi_mode_mul
-from .vonneumann import _binary_scaled, vn_report
+from .vonneumann import _binary_scaled, _trace
 
 __all__ = [
     "DualExponents",
@@ -139,13 +141,19 @@ def dual_vector_maximizer(s, p: float) -> DualMaximizer:
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
         raise ValueError("p: exponent must be a finite real >= 1")
+    return _dual_maximizer(s, p)
+
+
+def _dual_maximizer(s: np.ndarray, p: float) -> DualMaximizer:
+    # dual_vector_maximizer on a checked vector and exponent; its norm is
+    # lp_norm's, bit for bit
     if not s.any():
         v = np.zeros(s.size)
         v[0] = 1.0
         return DualMaximizer(v, np.ones(s.size, dtype=bool), True)
     if p == 1.0:
         return DualMaximizer(np.ones(s.size), s == 0.0, False)
-    v = (s / lp_norm(s, p)) ** (p - 1.0)
+    v = (s / float(_mixed_norm(s[None], p, 1.0))) ** (p - 1.0)
     return DualMaximizer(v, np.zeros(s.size, dtype=bool), False)
 
 
@@ -215,8 +223,9 @@ def tuple_subgradient(t, params: SchattenParams) -> TupleSubgradient:
             coordinate_free=np.ones((ndim, n), dtype=bool),
             whole_ball=True,
         )
-    maximizers = [dual_vector_maximizer(r, params.p) for r in rows]
+    maximizers = [_dual_maximizer(r, params.p) for r in rows]
     omega = np.array([lp_norm(r, params.p) for r in rows])
+    # the row norms may overflow, which the public checks reject
     w = dual_vector_maximizer(omega, params.q)
     canonical = params.lam * w.vector[:, None] * np.vstack([m.vector for m in maximizers])
     return TupleSubgradient(
@@ -263,14 +272,15 @@ def schatten_subgradient(rep: OdecoRep, params: SchattenParams) -> np.ndarray:
     coordinates receive tau = 0 (minimal-support canonical choice), matching
     the classical rank-restricted subgradient in the matrix case. Satisfies
     <G, X> = N(X) with the mixed conjugate norm of sigma(G) exactly at the
-    dual bound.
+    dual bound. ``rep`` is taken as :func:`~tensorspectra.odeco.make_odeco`
+    returns it, its weights already checked.
     """
     if not isinstance(rep, OdecoRep):
         raise ValueError("rep: expected an odeco representation")
     ndim = len(rep.shape)
     nmin = min(rep.shape)
     padded = np.concatenate([rep.alphas, np.zeros(nmin - rep.rank)])
-    vstar = dual_vector_maximizer(padded, params.p).vector
+    vstar = _dual_maximizer(padded, params.p).vector
     if params.p == 1.0:
         vstar = np.where(padded > 0, vstar, 0.0)
     tau = params.lam * ndim ** (1.0 / params.q) * vstar
@@ -284,7 +294,12 @@ def _spectral_dual_ratio(x: np.ndarray, params: SchattenParams) -> float:
     so x lies in the dual unit ball of the norm when it is at most 1. The
     spectra are the one-tensor entries behind the norms.
     """
-    return float(_dual_norms(_spectra(x), params)) / (params.lam * x.ndim)
+    return _dual_ratio(_spectra(x), params)
+
+
+def _dual_ratio(spectra: np.ndarray, params: SchattenParams) -> float:
+    # _spectral_dual_ratio from a tensor's (D, max n) spectra
+    return float(_dual_norms(spectra, params)) / (params.lam * len(spectra))
 
 
 @dataclass(frozen=True)
@@ -321,20 +336,29 @@ def check_membership(
     The pairing tolerance has no floor and is compared on frexp parts, so
     it neither overflows nor underflows: scaling x changes no verdict, and
     y = 0 fails at every x != 0. ``tol`` must be finite and nonnegative.
-    N(x), the trace inequalities and y's dual ratio are computed in that
-    order, so a cold call decomposes x once and y once. The spectra memo
-    keeps two tensors, so x's spectra outlive one candidate: a sweep of one
-    point's candidates decomposes the point once. A candidate 2^k g after g
-    (or g after it) reads the kept spectra scaled, in the band where that
-    is exact, so g, 2g and N(g) decompose g once.
+    N(x), y's dual ratio and the pairing tolerance reuse the spectra
+    entries and Frobenius norms the trace inequalities read: 2 lookups, and
+    a cold call decomposes x once and y once. An operand whose largest
+    magnitude lies outside [2^-257, 2^256) is traced as a binary-scaled
+    copy, so its own entry and norm are read apart. The memo keeps two
+    tensors and one norm each (see :func:`~tensorspectra.spectral.schatten_norm`),
+    so a sweep of one point's candidates decomposes the point once and
+    computes N(x) once per ``params``. A candidate 2^k g after g (or g
+    after it) reads the kept spectra scaled, in the band where that is
+    exact, so g, 2g and N(g) decompose g once.
     """
     x, y = _pair(x, y)
-    # x first, then y: the two-entry spectra memo decomposes each only once
-    norm_x = schatten_norm(x, params)
-    report = vn_report(x, y, tol)
-    dual_value = _spectral_dual_ratio(y, params)
+    _tensor(x)
+    _check_tol(tol)
+    report, (sx, fx, a), (sy, fy, b) = _trace(x, y, tol)
+    norm_x = _norm(sx, params) if a == 0 else schatten_norm(x, params)
+    dual_value = _dual_ratio(sy, params) if b == 0 else _spectral_dual_ratio(y, params)
     residual = abs(report.inner - norm_x)
-    (mx, ex), (my, ey) = math.frexp(frobenius(x)), math.frexp(frobenius(y))
+    if a:
+        fx = frobenius(x)
+    if b:
+        fy = frobenius(y)
+    (mx, ex), (my, ey) = math.frexp(fx), math.frexp(fy)
     # residual <= tol ||x|| ||y|| on frexp parts; a scaled overflow fails
     with np.errstate(over="ignore", under="ignore"):
         pairing_ok = bool(np.ldexp(residual, -(ex + ey)) <= tol * mx * my)
@@ -355,6 +379,13 @@ def check_membership(
 
 
 _SPECIAL_SCALES = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
+# the slack of y = c x is (|c| - 1) N(x) - (c - 1) <g, x>, and that of
+# y = c g is |c| N(g) - c <g, g> - N(x) + <g, x>; their constant coefficients
+_X_NORM, _X_PAIRING = np.abs(_SPECIAL_SCALES) - 1.0, _SPECIAL_SCALES - 1.0
+_G_NORM, _G_PAIRING = np.abs(_SPECIAL_SCALES[1:]), _SPECIAL_SCALES[1:]
+_MEMBERS = [(c, "x") for c in _SPECIAL_SCALES.tolist()] + [
+    (c, "g") for c in _SPECIAL_SCALES[1:].tolist()
+]
 
 
 def _in_range_copy(t: np.ndarray, params: SchattenParams):
@@ -380,7 +411,10 @@ def subgradient_inequality_test(
     pairing <g, x> = N(x), and the g ray falls below 0 when <g, g> > N(g),
     where g is its own witness outside the dual unit ball. When <g, g>
     leaves the normal range or N(g) overflows, the g ray passes through
-    g's binary-scaled copy, as the estimator's y = x does. ``trials``, an
+    g's binary-scaled copy, as the estimator's y = x does. When N(x) or
+    <g, x> overflows, the x ray's slacks are those at x's copy scaled by a
+    power of two to a largest magnitude in [1/2, 1), scaled back exactly:
+    an overflow of N(x) gives an infinite slack, not NaN. ``trials``, an
     integer >= 1, caps the family at its first ``trials`` members; ``seed``
     is accepted and changes nothing, since nothing is drawn. The minimum is
     nonnegative up to roundoff when g is a subgradient of the norm at x,
@@ -393,20 +427,26 @@ def subgradient_inequality_test(
     if not np.isfinite(g).all():
         raise ValueError("g: entries must be finite")
 
-    norm_x = schatten_norm(x, params)
+    with np.errstate(over="ignore"):
+        norm_x = schatten_norm(x, params)
     gx = inner(g, x)
     _, gh, norm_h = _in_range_copy(g, params)
-    on_x, on_g = _SPECIAL_SCALES, _SPECIAL_SCALES[1:]
-    slacks = np.concatenate(
-        [
-            (np.abs(on_x) - 1.0) * norm_x - (on_x - 1.0) * gx,
-            np.abs(on_g) * norm_h - on_g * gh - norm_x + gx,
-        ]
-    )[:trials]
+    on_g = _G_NORM * norm_h - _G_PAIRING * gh
+    if math.isfinite(norm_x) and math.isfinite(gx):
+        on_x = _X_NORM * norm_x - _X_PAIRING * gx
+        on_g = on_g - norm_x + gx
+    else:
+        # the x ray is 2^e times its slacks at x 2^-e, exactly; its first,
+        # y = 0's <g, x> - N(x), is the g ray's offset
+        e = _max_exponent(x)
+        t = np.ldexp(x, -e)
+        with np.errstate(over="ignore"):
+            norm_t = schatten_norm(t, params)
+            on_x = np.ldexp(_X_NORM * norm_t - _X_PAIRING * inner(g, t), e)
+        on_g = on_g + on_x[0]
+    slacks = np.concatenate([on_x, on_g])[:trials]
     if _log.isEnabledFor(logging.DEBUG):
-        i = int(np.argmin(slacks))
-        member = (on_x[i], "x") if i < on_x.size else (on_g[i - on_x.size], "g")
-        _log.debug("subgradient test: minimum at y = %g %s", *member)
+        _log.debug("subgradient test: minimum at y = %g %s", *_MEMBERS[np.argmin(slacks)])
     return float(np.min(slacks))
 
 

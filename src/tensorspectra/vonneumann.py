@@ -103,20 +103,29 @@ def vn_report(x, y, tol: float = 1e-10) -> VnReport:
     _check_tol(tol)
     x, y = _pair(x, y)
     _tensor(x)
+    return _trace(x, y, tol)[0]
+
+
+def _trace(x: np.ndarray, y: np.ndarray, tol: float) -> tuple:
+    # vn_report of a checked pair, then (spectra, Frobenius norm, exponent)
+    # of each operand's scaled copy, which are x's and y's own when the
+    # exponent is 0: a caller reads neither operand again in the band
     (x, a), (y, b) = _binary_scaled(x), _binary_scaled(y)
     sx, sy = _spectra(x), _spectra(y)
+    fx, fy = frobenius(x), frobenius(y)
     value = inner(x, y)
     bounds = np.array(
         [float(np.dot(sx[d, :n], sy[d, :n])) for d, n in enumerate(x.shape)]
     )
     gaps = bounds - value
     with np.errstate(over="ignore"):
-        return VnReport(
+        report = VnReport(
             inner=float(np.ldexp(value, a + b)),
             per_mode_bound=np.ldexp(bounds, a + b),
             per_mode_gap=np.ldexp(gaps, a + b),
-            equality=bool(np.max(gaps) <= tol * (frobenius(x) * frobenius(y))),
+            equality=bool(np.max(gaps) <= tol * (fx * fy)),
         )
+    return report, (sx, fx, a), (sy, fy, b)
 
 
 def _finite_cores(cx, cy) -> tuple[np.ndarray, np.ndarray]:

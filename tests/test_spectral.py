@@ -586,6 +586,31 @@ class TestSpectraMemo:
         of_x = {matricize(x, d).tobytes() for d in range(1, x.ndim + 1)}
         assert sum(m in of_x for m in unfoldings) == x.ndim
 
+    def test_a_certify_sweep_takes_each_norm_once(self, monkeypatch):
+        # N(x) is asked for three times per grid point, by both certificates
+        # and the subgradient test, and N(g) once: the norm x's entry holds
+        # answers the repeats, so 2 norms per point are computed, not 4
+        from tensorspectra import schatten_subgradient, spectral
+        from tensorspectra.verify import _param_grid
+
+        rep = random_odeco((3, 3, 3), 3, 5)
+        x = to_dense(rep)
+        original = spectral._schatten_norms
+        computed = []
+        monkeypatch.setattr(spectral, "_last_spectra", None)
+        monkeypatch.setattr(
+            spectral,
+            "_schatten_norms",
+            lambda spectra, params: computed.append(params) or original(spectra, params),
+        )
+        for params in _param_grid(x.ndim):
+            g = schatten_subgradient(rep, params)
+            assert check_membership(x, g, params).accepted
+            assert not check_membership(x, 2.0 * g, params).accepted
+            assert subgradient_inequality_test(x, g, params, trials=200, seed=0) >= -1e-9
+        assert len(computed) == 10
+        assert computed == [p for p in _param_grid(x.ndim) for _ in range(2)]
+
 
 
 class TestScaleShare:
@@ -690,6 +715,124 @@ class TestScaleShare:
             spectra = _spectra(x)
             assert calls.call_count == 2 * x.ndim
         assert spectra.tobytes() == self.fresh(x).tobytes()
+
+
+class TestNormSlot:
+    """Each spectra entry holds the last norm taken from it, with its params."""
+
+    @staticmethod
+    def cold(x, params) -> float:
+        from tensorspectra import spectral
+
+        with mock.patch.object(spectral, "_last_spectra", None):
+            return schatten_norm(x, params)
+
+    @staticmethod
+    def counted():
+        # spectral's binding of _schatten_norms, counted, and empty entries
+        from tensorspectra import spectral
+
+        return (
+            mock.patch.object(spectral, "_schatten_norms", wraps=spectral._schatten_norms),
+            mock.patch.object(spectral, "_last_spectra", None),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(1.0, 8.0),
+        q=st.floats(1.0, 8.0),
+        lam=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-40, 40).filter(bool),
+    )
+    def test_a_stored_norm_is_the_computed_norm(self, p, q, lam, seed, k):
+        params = SchattenParams(p, q, lam)
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, 3, 4, 2))
+        scaled = np.ldexp(x, k)
+        expected = {name: self.cold(t, params) for name, t in zip("xys", (x, y, scaled))}
+        spy, empty = self.counted()
+        with spy as computed, empty:
+            assert schatten_norm(x, params) == expected["x"]
+            assert schatten_norm(x, params) == expected["x"]
+            assert computed.call_count == 1
+            # y's entry goes in front of x's, then x's moves back to the front
+            assert schatten_norm(y, params) == expected["y"]
+            assert schatten_norm(x, params) == expected["x"]
+            assert schatten_norm(y, params) == expected["y"]
+            assert computed.call_count == 2
+            # a power-of-two multiple reads x's spectra scaled, and stores
+            # its own norm
+            assert schatten_norm(scaled, params) == expected["s"]
+            assert schatten_norm(scaled, params) == expected["s"]
+            assert computed.call_count == 3
+
+    def test_other_params_signed_zeros_and_in_place_changes_miss(self):
+        x = np.random.default_rng(70).standard_normal((3, 3, 3))
+        x[1, 2, 0] = 0.0
+        signed, changed = x.copy(), x.copy()
+        signed[1, 2, 0] = -0.0
+        changed[0, 0, 0] += 1.0
+        params, other = SchattenParams(3, 2, 1), SchattenParams(3, 2, 0.5)
+        expected = [self.cold(t, params) for t in (x, signed, changed)]
+        expected_other = self.cold(x, other)
+        spy, empty = self.counted()
+        with spy as computed, empty:
+            assert schatten_norm(x, params) == expected[0]
+            assert schatten_norm(x, other) == expected_other
+            assert computed.call_count == 2
+            # the entry holds one norm: other's replaced params'
+            assert schatten_norm(x, params) == expected[0]
+            assert computed.call_count == 3
+            assert schatten_norm(signed, params) == expected[1]
+            assert computed.call_count == 4
+            x[0, 0, 0] += 1.0
+            assert schatten_norm(x, params) == expected[2]
+            assert computed.call_count == 5
+
+    def test_an_entry_holds_one_norm_and_no_tensor(self):
+        from tensorspectra import spectral
+
+        x = np.random.default_rng(71).standard_normal((4, 4, 4))
+        spy, empty = self.counted()
+        with empty:
+            spectra = spectral._spectra(x)
+            for lam in (0.5, 1.0, 2.0):
+                schatten_norm(x, SchattenParams(2, 2, lam))
+            (key, kept, norm), = spectral._last_spectra
+            assert kept is spectra
+            assert norm == (SchattenParams(2, 2, 2.0), schatten_norm(x, SchattenParams(2, 2, 2.0)))
+
+    def test_threads_see_their_own_norms(self):
+        # each thread alternates its own tensor between two params, so
+        # stores and hits of the two entries interleave
+        import sys
+        import threading
+
+        rng = np.random.default_rng(72)
+        tensors = [rng.standard_normal(shape) for shape in [(3, 4, 5), (4, 3, 5), (3, 4, 5)]]
+        grid = [SchattenParams(3, 2, 1), SchattenParams(1.5, 3, 0.5)]
+        expected = [[self.cold(t, params) for params in grid] for t in tensors]
+        start = threading.Barrier(len(tensors))
+        wrong = [0] * len(tensors)
+
+        def work(i):
+            start.wait()
+            for k in range(200):
+                wrong[i] += schatten_norm(tensors[i], grid[k % 2]) != expected[i][k % 2]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(tensors))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [0] * len(tensors)
 
 
 # spectra-large's five shapes, cubes, one mode below dgesdd's QR crossover

@@ -301,6 +301,23 @@ class TestConstruction:
             schatten_norm(dense, params), rel=1e-10
         )
 
+    @pytest.mark.parametrize("params", PARAM_GRID_3 + [SchattenParams(1.5, 3, 0.5)])
+    def test_checked_weights_skip_the_public_checks(self, params):
+        # make_odeco checked the weights, so the maximizer's checks and
+        # lp_norm are not called again; the weights are the public ones
+        rep = random_odeco((3, 4, 3), 2, 22)
+        padded = np.concatenate([rep.alphas, np.zeros(1)])
+        public = dual_vector_maximizer(padded, params.p).vector
+        if params.p == 1.0:
+            public = np.where(padded > 0, public, 0.0)
+        tau = params.lam * 3 ** (1.0 / params.q) * public[: rep.rank]
+        expected = to_dense(make_odeco(tau, rep.factors))
+        with mock.patch.object(
+            subdiff, "dual_vector_maximizer", side_effect=AssertionError("checked twice")
+        ), mock.patch.object(subdiff, "lp_norm", side_effect=AssertionError("checked twice")):
+            g = schatten_subgradient(rep, params)
+        assert g.tobytes() == expected.tobytes()
+
 
 def _lewis_gradient(x, params):
     # sum_d c_d fold_d(U_d diag((sigma_d / a_d)^(p - 1)) V_d^T), with
@@ -588,6 +605,21 @@ class TestRays:
         assert doubled < 0.0
         assert falsified < -lam
 
+    def test_an_overflowing_norm_at_x_takes_the_x_ray_on_a_scaled_copy(self):
+        # N(x) overflows, so y = 0's slack <g, x> - N(x) is -inf at every
+        # cap; the x ray's |c| = 1 members, 0 * N(x) on x itself, are NaN
+        # unless taken on its binary-scaled copy
+        x = 1e10 * np.random.default_rng(0).standard_normal((3, 3, 3))
+        g = np.random.default_rng(1).standard_normal((3, 3, 3))
+        params = SchattenParams(2, 2, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slacks = [
+                subgradient_inequality_test(x, g, params, trials=trials)
+                for trials in range(1, 14)
+            ]
+        assert slacks == [-math.inf] * 13
+
     @pytest.mark.parametrize("shape", [(3, 4, 5), (3, 3, 3)])
     @pytest.mark.parametrize("params", [SchattenParams(3, 2, 1), SchattenParams(1.5, 3, 0.5)])
     def test_the_gradient_at_a_differentiable_point(self, shape, params):
@@ -736,6 +768,43 @@ class TestSpectraEntries:
             slack = subgradient_inequality_test(x, g, params, trials=31)
         assert spy.call_count == 0
         assert slack == expected
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (3, 3), (2, 3, 4, 2)])
+    def test_a_certificate_reads_each_operand_once(self, shape):
+        # one spectra lookup and one Frobenius norm per operand in the band;
+        # N(x) comes from x's entry, y's dual ratio from y's spectra
+        from tensorspectra import tensor, vonneumann
+
+        rng = np.random.default_rng(44)
+        x, y = rng.standard_normal((2,) + shape)
+        params = SchattenParams(3, 2, 1)
+        expected = check_membership(x, y, params)
+        with mock.patch.object(
+            vonneumann, "_spectra", wraps=vonneumann._spectra
+        ) as lookups, mock.patch.object(
+            vonneumann, "frobenius", wraps=tensor.frobenius
+        ) as norms, mock.patch.object(
+            subdiff, "_spectra", side_effect=AssertionError("a second lookup")
+        ), mock.patch.object(
+            subdiff, "schatten_norm", side_effect=AssertionError("a second lookup")
+        ), mock.patch.object(subdiff, "frobenius", side_effect=AssertionError("a norm")):
+            certificate = check_membership(x, y, params)
+        assert lookups.call_count == 2 and norms.call_count == 2
+        assert certificate.pairing_residual == expected.pairing_residual
+        assert certificate.dual_norm_value == expected.dual_norm_value
+        assert certificate.vn_gaps.tobytes() == expected.vn_gaps.tobytes()
+
+    def test_an_operand_outside_the_band_is_read_apart(self):
+        # the trace reads x's scaled copy, so N(x) and ||x|| read x itself
+        rng = np.random.default_rng(45)
+        x, y = np.ldexp(rng.standard_normal((2, 3, 3, 3)), [[[[300]]], [[[0]]]])
+        params = SchattenParams(3, 2, 1)
+        certificate = check_membership(x, y, params)
+        spectral._last_spectra = None
+        assert certificate.pairing_residual == abs(
+            vn_report(x, y, 1e-8).inner - schatten_norm(x, params)
+        )
+        assert certificate.dual_norm_value == subdiff._spectral_dual_ratio(y, params)
 
     def test_a_new_point_keeps_no_copy(self):
         # the spectra entries held two other 20^3 tensors, so x's and g's
